@@ -85,7 +85,32 @@ class BriefDescriptorExtractor:
 
 
 def hamming_distance(descriptors_a: np.ndarray, descriptors_b: np.ndarray) -> np.ndarray:
-    """All-pairs Hamming distance matrix between two (N, 32) uint8 sets."""
+    """All-pairs Hamming distance matrix between two (N, 32) uint8 sets.
+
+    XORs the descriptors as ``uint64`` words, one word column at a time,
+    and counts bits with ``np.bitwise_count``.  numpy < 2 has no
+    ``bitwise_count``; there the byte-LUT gather of
+    :func:`_hamming_distance_reference` runs instead.  Both give the same
+    matrix.
+    """
+    descriptors_a = np.atleast_2d(descriptors_a)
+    descriptors_b = np.atleast_2d(descriptors_b)
+    popcount = getattr(np, "bitwise_count", None)
+    if popcount is None:
+        return _hamming_distance_reference(descriptors_a, descriptors_b)
+    words_a = np.ascontiguousarray(descriptors_a).view(np.uint64)
+    words_b = np.ascontiguousarray(descriptors_b).view(np.uint64)
+    # One (N, M) XOR + popcount per word column: no (N, M, words) temporary.
+    distances = np.zeros((len(words_a), len(words_b)), dtype=np.int32)
+    for word in range(words_a.shape[1]):
+        distances += popcount(words_a[:, word, None] ^ words_b[None, :, word])
+    return distances
+
+
+def _hamming_distance_reference(
+    descriptors_a: np.ndarray, descriptors_b: np.ndarray
+) -> np.ndarray:
+    """Byte-LUT all-pairs Hamming distance: an (N, M, 32) popcount gather."""
     descriptors_a = np.atleast_2d(descriptors_a)
     descriptors_b = np.atleast_2d(descriptors_b)
     xored = descriptors_a[:, None, :] ^ descriptors_b[None, :, :]

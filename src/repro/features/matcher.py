@@ -38,6 +38,40 @@ def match_descriptors(
     if len(descriptors_query) == 0 or len(descriptors_train) == 0:
         return []
     distances = hamming_distance(descriptors_query, descriptors_train)
+    queries = np.arange(len(distances))
+    best_train = np.argmin(distances, axis=1)
+    best_distance = distances[queries, best_train]
+
+    keep = best_distance <= max_distance
+    if distances.shape[1] > 1:
+        # Ratio test against the best of the row with its winner masked.
+        masked = distances.copy()
+        masked[queries, best_train] = np.iinfo(masked.dtype).max
+        keep &= ~(best_distance > ratio * masked.min(axis=1))
+    if cross_check:
+        keep &= np.argmin(distances, axis=0)[best_train] == queries
+    kept = np.flatnonzero(keep)
+    return [
+        Match(query_index, train_index, distance)
+        for query_index, train_index, distance in zip(
+            kept.tolist(),
+            best_train[kept].tolist(),
+            best_distance[kept].astype(float).tolist(),
+        )
+    ]
+
+
+def _match_descriptors_reference(
+    descriptors_query: np.ndarray,
+    descriptors_train: np.ndarray,
+    max_distance: int = 64,
+    ratio: float = 0.8,
+    cross_check: bool = True,
+) -> list[Match]:
+    """Per-query loop form of :func:`match_descriptors` (equivalence oracle)."""
+    if len(descriptors_query) == 0 or len(descriptors_train) == 0:
+        return []
+    distances = hamming_distance(descriptors_query, descriptors_train)
 
     best_train = np.argmin(distances, axis=1)
     best_distance = distances[np.arange(len(distances)), best_train]

@@ -191,6 +191,9 @@ SUITES: dict[str, tuple[BenchScenario, ...]] = {
             "transfer.contour_depth", kernel="transfer.contour_depth"
         ),
         KernelBenchScenario("serve.batch_latency", kernel="serve.batch_latency"),
+        KernelBenchScenario("features.hamming", kernel="features.hamming"),
+        KernelBenchScenario("vo.oracle_observe", kernel="vo.oracle_observe"),
+        KernelBenchScenario("synthetic.raster", kernel="synthetic.raster"),
     ),
     "smoke": (
         BenchScenario(

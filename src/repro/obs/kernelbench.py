@@ -282,6 +282,88 @@ def _kernel_transfer_contour_depth(seed: int, repeats: int) -> dict:
     )
 
 
+def _kernel_features_hamming(seed: int, repeats: int) -> dict:
+    from ..features.brief import _hamming_distance_reference, hamming_distance
+
+    rng = np.random.default_rng(seed)
+    # The size of a typical map-point match: ~200 frame features against
+    # ~260 map descriptors.
+    a = rng.integers(0, 256, size=(208, 32), dtype=np.uint8)
+    b = rng.integers(0, 256, size=(262, 32), dtype=np.uint8)
+    err = float(
+        np.abs(hamming_distance(a, b) - _hamming_distance_reference(a, b)).max()
+    )
+    return _cell(
+        "features.hamming",
+        len(a) * len(b),
+        repeats,
+        lambda: hamming_distance(a, b),
+        lambda: _hamming_distance_reference(a, b),
+        err,
+        0.0,
+    )
+
+
+def _kernel_vo_oracle_observe(seed: int, repeats: int) -> dict:
+    from ..synthetic.datasets import make_dataset
+    from ..vo.frontend import OracleFrontend
+
+    video = make_dataset("xiph_like", num_frames=60, resolution=(320, 240), seed=seed)
+    frame, truth = video.frame_at(30)
+    fast = OracleFrontend(video.world, video.camera, seed=seed)
+    reference = OracleFrontend(video.world, video.camera, seed=seed)
+    a = fast.observe(frame, truth)
+    b = reference._observe_reference(frame, truth)
+    err = float(
+        max(
+            np.abs(a.pixels - b.pixels).max(initial=0.0),
+            np.abs(a.descriptors.astype(int) - b.descriptors.astype(int)).max(
+                initial=0
+            ),
+            # Stream identity: the next draw of both generators agrees.
+            abs(fast._rng.integers(0, 2**31) - reference._rng.integers(0, 2**31)),
+        )
+    )
+    return _cell(
+        "vo.oracle_observe",
+        len(video.world.feature_sites),
+        repeats,
+        lambda: fast.observe(frame, truth),
+        lambda: reference._observe_reference(frame, truth),
+        err,
+        0.0,
+    )
+
+
+def _kernel_synthetic_raster(seed: int, repeats: int) -> dict:
+    from ..synthetic.datasets import make_dataset
+    from ..synthetic.renderer import Renderer
+
+    video = make_dataset("xiph_like", num_frames=60, resolution=(320, 240), seed=seed)
+    renderer = Renderer(video.camera, video.world.objects)
+    time_s = 30 / video.fps
+    pose_cw = video.trajectory.pose_cw(time_s)
+    a = renderer.render(pose_cw, time_s)
+    b = renderer.render_reference(pose_cw, time_s)
+    err = float(
+        max(
+            np.abs(a.frame.image.astype(int) - b.frame.image.astype(int)).max(),
+            np.abs(a.label_map - b.label_map).max(),
+            # Equal infinities (nothing drawn) count as no error.
+            np.abs(np.where(a.depth == b.depth, 0.0, a.depth - b.depth)).max(),
+        )
+    )
+    return _cell(
+        "synthetic.raster",
+        renderer.camera.width * renderer.camera.height,
+        repeats,
+        lambda: renderer.render(pose_cw, time_s),
+        lambda: renderer.render_reference(pose_cw, time_s),
+        err,
+        0.0,
+    )
+
+
 def _kernel_serve_batch_latency(seed: int, repeats: int) -> dict:
     """Deterministic cell: the calibrated batch latency model at the
     fleet's operating point (TX2-scaled fixed cost, the admission
@@ -324,6 +406,9 @@ _KERNELS = {
     "ba.ransac_score": _kernel_ba_ransac_score,
     "ba.dlt_rows": _kernel_ba_dlt_rows,
     "transfer.contour_depth": _kernel_transfer_contour_depth,
+    "features.hamming": _kernel_features_hamming,
+    "vo.oracle_observe": _kernel_vo_oracle_observe,
+    "synthetic.raster": _kernel_synthetic_raster,
     "serve.batch_latency": _kernel_serve_batch_latency,
 }
 

@@ -9,6 +9,7 @@ texture) and a motion model giving its object-to-world pose over time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,55 @@ __all__ = [
 ]
 
 
+def _dot_field(
+    tile_size: int, num_dots: int, contrast: float, rng: np.random.Generator
+) -> np.ndarray:
+    """A (tile, tile) float32 tile of ``num_dots`` wrapped discs of
+    +-``contrast``, later dots on top.
+
+    Each disc is stamped through its (2r+1)^2 window of offsets.  A cell
+    lies within circular distance r of the center exactly when some
+    offset (dr, dc) with dr^2 + dc^2 <= r^2 reaches it modulo the tile, so
+    this is the cell set of :func:`_dot_field_reference`.
+    """
+    luminance = np.zeros((tile_size, tile_size), dtype=np.float32)
+    for _ in range(num_dots):
+        r = rng.integers(0, tile_size)
+        c = rng.integers(0, tile_size)
+        radius = int(rng.integers(2, 5))
+        value = float(rng.choice([-contrast, contrast]))
+        rows, cols = _disc_offsets(radius)
+        # Wrap-around stamping keeps the tile seamless.
+        luminance[(r + rows) % tile_size, (c + cols) % tile_size] = value
+    return luminance
+
+
+@functools.lru_cache(maxsize=None)
+def _disc_offsets(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) offsets of the integer cells within ``radius`` of 0."""
+    span = np.arange(-radius, radius + 1)
+    rows, cols = np.nonzero(span[:, None] ** 2 + span[None, :] ** 2 <= radius**2)
+    return span[rows], span[cols]
+
+
+def _dot_field_reference(
+    tile_size: int, num_dots: int, contrast: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Full-tile form of :func:`_dot_field` (equivalence oracle)."""
+    luminance = np.zeros((tile_size, tile_size), dtype=np.float32)
+    rr, cc = np.mgrid[0:tile_size, 0:tile_size]
+    for _ in range(num_dots):
+        r = rng.integers(0, tile_size)
+        c = rng.integers(0, tile_size)
+        radius = rng.integers(2, 5)
+        value = float(rng.choice([-contrast, contrast]))
+        # Wrap-around stamping keeps the tile seamless.
+        dr = np.minimum(np.abs(rr - r), tile_size - np.abs(rr - r))
+        dc = np.minimum(np.abs(cc - c), tile_size - np.abs(cc - c))
+        luminance[dr**2 + dc**2 <= radius**2] = value
+    return luminance
+
+
 class ProceduralTexture:
     """A tileable dot-field texture, sampled by UV coordinates.
 
@@ -49,22 +99,30 @@ class ProceduralTexture:
         self.base_color = np.array(base_color, dtype=np.float32)
         self.tile_size = tile_size
         rng = np.random.default_rng(seed)
-        luminance = np.zeros((tile_size, tile_size), dtype=np.float32)
-        rr, cc = np.mgrid[0:tile_size, 0:tile_size]
-        for _ in range(num_dots):
-            r = rng.integers(0, tile_size)
-            c = rng.integers(0, tile_size)
-            radius = rng.integers(2, 5)
-            value = float(rng.choice([-contrast, contrast]))
-            # Wrap-around stamping keeps the tile seamless.
-            dr = np.minimum(np.abs(rr - r), tile_size - np.abs(rr - r))
-            dc = np.minimum(np.abs(cc - c), tile_size - np.abs(cc - c))
-            luminance[dr**2 + dc**2 <= radius**2] = value
+        luminance = _dot_field(tile_size, num_dots, contrast, rng)
         luminance += rng.normal(scale=3.0, size=luminance.shape).astype(np.float32)
         self._tile = luminance
+        # The clipped RGB texel of every tile cell, row-major, so sampling
+        # is one gather of whole texels.
+        self._texels = np.clip(
+            self.base_color + luminance[..., None], 0.0, 255.0
+        ).reshape(-1, 3)
 
     def sample(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Sample RGB values (float32, 0..255) at UV coordinates (tiles)."""
+        size = self.tile_size
+        cols = np.floor(np.asarray(u, dtype=np.float32) * size).astype(int)
+        rows = np.floor(np.asarray(v, dtype=np.float32) * size).astype(int)
+        # ``x - x // size * size`` is ``x % size``; numpy divides by a
+        # scalar far faster than it takes a remainder.
+        cols -= cols // size * size
+        rows -= rows // size * size
+        rows *= size
+        rows += cols
+        return self._texels.take(rows, axis=0)
+
+    def _sample_reference(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Per-call clip form of :meth:`sample` (equivalence oracle)."""
         u = np.asarray(u, dtype=np.float32)
         v = np.asarray(v, dtype=np.float32)
         cols = (np.floor(u * self.tile_size).astype(int)) % self.tile_size

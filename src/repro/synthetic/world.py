@@ -74,6 +74,14 @@ class World:
         self.objects = objects
         self._by_id = {o.instance_id: o for o in objects if not o.is_background}
         self._sites = self._generate_sites(sites_per_sqm, max_sites_per_object, seed)
+        # Sites grouped by owning object, so positions move one object
+        # (one pose) at a time instead of one site at a time.
+        owners = np.array([site.owner_index for site in self._sites], dtype=int)
+        self._site_groups: list[tuple[int, np.ndarray, np.ndarray]] = []
+        for owner_index in np.unique(owners).tolist():
+            indices = np.flatnonzero(owners == owner_index)
+            points = np.array([self._sites[i].position_object for i in indices])
+            self._site_groups.append((owner_index, indices, points))
 
     # ------------------------------------------------------------------
     def _generate_sites(
@@ -119,6 +127,18 @@ class World:
     def site_world_positions(self, time: float) -> np.ndarray:
         """World positions of all feature sites at time ``t`` (moving
         objects carry their sites along)."""
+        positions = np.zeros((len(self._sites), 3))
+        for owner_index, indices, points in self._site_groups:
+            pose = self.objects[owner_index].pose_wo(time)
+            # A stacked (3, 3) @ (3, 1) matmul runs the same matrix-vector
+            # kernel per point as ``pose.transform(point)``, bit for bit; a
+            # plain (N, 3) @ (3, 3) product may round differently.
+            rotated = np.matmul(pose.rotation, points[:, :, None])[:, :, 0]
+            positions[indices] = rotated + pose.translation
+        return positions
+
+    def _site_world_positions_reference(self, time: float) -> np.ndarray:
+        """Per-site form of :meth:`site_world_positions` (equivalence oracle)."""
         poses = [scene_object.pose_wo(time) for scene_object in self.objects]
         positions = np.zeros((len(self._sites), 3))
         for i, site in enumerate(self._sites):
@@ -167,8 +187,8 @@ class SyntheticVideo:
         self.fps = fps
         self.name = name
         self._renderer = Renderer(camera, world.objects)
+        # Insertion-ordered: the first key is the oldest frame (FIFO).
         self._cache: dict[int, tuple] = {}
-        self._cache_order: list[int] = []
         self._cache_capacity = 48
 
     def __len__(self) -> int:
@@ -186,10 +206,8 @@ class SyntheticVideo:
         truth = self.world.ground_truth_from_render(result)
         value = (result.frame, truth)
         self._cache[index] = value
-        self._cache_order.append(index)
-        if len(self._cache_order) > self._cache_capacity:
-            evict = self._cache_order.pop(0)
-            self._cache.pop(evict, None)
+        if len(self._cache) > self._cache_capacity:
+            del self._cache[next(iter(self._cache))]
         return value
 
     def __iter__(self) -> Iterator[tuple]:

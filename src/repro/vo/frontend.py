@@ -81,26 +81,78 @@ class OracleFrontend:
         self.dropout = dropout
         self.depth_tolerance = depth_tolerance
         self._rng = np.random.default_rng(seed)
-        self._descriptor_cache: dict[int, np.ndarray] = {}
+        # Base descriptor per site index, filled the first time a site is
+        # observed (seeding a generator per site is the costly part).
+        num_sites = len(world.feature_sites)
+        self._descriptors = np.zeros((num_sites, 32), dtype=np.uint8)
+        self._descriptor_known = np.zeros(num_sites, dtype=bool)
+        self._descriptor_cache: dict[int, np.ndarray] = {}  # reference path only
 
-    def _site_descriptor(self, site_id: int) -> np.ndarray:
-        cached = self._descriptor_cache.get(site_id)
-        if cached is None:
-            site_rng = np.random.default_rng(0x9E3779B9 ^ (site_id * 2654435761 % 2**32))
-            cached = site_rng.integers(0, 256, size=32, dtype=np.uint8)
-            self._descriptor_cache[site_id] = cached
-        return cached
+    @staticmethod
+    def _site_descriptor(site_id: int) -> np.ndarray:
+        site_rng = np.random.default_rng(0x9E3779B9 ^ (site_id * 2654435761 % 2**32))
+        return site_rng.integers(0, 256, size=32, dtype=np.uint8)
 
-    def _noisy_descriptor(self, site_id: int) -> np.ndarray:
-        descriptor = self._site_descriptor(site_id).copy()
-        flips = self._rng.integers(0, 256, size=self.descriptor_flip_bits)
-        for flip in flips:
-            descriptor[flip // 8] ^= np.uint8(1 << (flip % 8))
-        return descriptor
+    def _noisy_descriptors(self, candidate: np.ndarray) -> np.ndarray:
+        """Base descriptors of the sites ``candidate`` with random bit flips.
+
+        One ``(n, flip_bits)`` draw consumes the generator exactly like n
+        per-site draws of ``flip_bits``.  The flips are applied one column
+        at a time, so a bit drawn twice for one site toggles back, just as
+        with flips applied one by one.
+        """
+        unknown = candidate[~self._descriptor_known[candidate]]
+        if len(unknown):
+            sites = self.world.feature_sites
+            for i in unknown.tolist():
+                self._descriptors[i] = self._site_descriptor(sites[i].site_id)
+            self._descriptor_known[unknown] = True
+        descriptors = self._descriptors[candidate]
+        flips = self._rng.integers(
+            0, 256, size=(len(candidate), self.descriptor_flip_bits)
+        )
+        rows = np.arange(len(candidate))
+        for flip in flips.T:
+            descriptors[rows, flip // 8] ^= (1 << (flip % 8)).astype(np.uint8)
+        return descriptors
 
     def observe(self, frame: VideoFrame, truth: GroundTruth) -> Observation:
-        sites = self.world.feature_sites
         positions = self.world.site_world_positions(frame.timestamp)
+        pixels, candidate = self._select_sites(positions, truth)
+        noisy_pixels = pixels[candidate] + self._rng.normal(
+            scale=self.pixel_noise, size=(len(candidate), 2)
+        )
+        return Observation(
+            pixels=noisy_pixels, descriptors=self._noisy_descriptors(candidate)
+        )
+
+    def _observe_reference(self, frame: VideoFrame, truth: GroundTruth) -> Observation:
+        """Per-site form of :meth:`observe` (equivalence oracle): the same
+        pixels, descriptors and generator state afterwards."""
+        sites = self.world.feature_sites
+        positions = self.world._site_world_positions_reference(frame.timestamp)
+        pixels, candidate = self._select_sites(positions, truth)
+        noisy_pixels = pixels[candidate] + self._rng.normal(
+            scale=self.pixel_noise, size=(len(candidate), 2)
+        )
+        rows = []
+        for i in candidate:
+            site_id = sites[i].site_id
+            if site_id not in self._descriptor_cache:
+                self._descriptor_cache[site_id] = self._site_descriptor(site_id)
+            descriptor = self._descriptor_cache[site_id].copy()
+            flips = self._rng.integers(0, 256, size=self.descriptor_flip_bits)
+            for flip in flips:
+                descriptor[flip // 8] ^= np.uint8(1 << (flip % 8))
+            rows.append(descriptor)
+        descriptors = np.stack(rows) if rows else np.zeros((0, 32), dtype=np.uint8)
+        return Observation(pixels=noisy_pixels, descriptors=descriptors)
+
+    def _select_sites(
+        self, positions: np.ndarray, truth: GroundTruth
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Project the sites and pick the observed ones: (pixels of all
+        sites, indices of the observed sites)."""
         pixels, depths, visible = self.camera.visible_world_points(
             truth.pose_cw, positions, margin=-2.0
         )
@@ -123,13 +175,4 @@ class OracleFrontend:
             # (plain site-id order would starve late-generated objects).
             priority = (candidate.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(2**32)
             candidate = candidate[np.argsort(priority)][: self.max_features]
-
-        noisy_pixels = pixels[candidate] + self._rng.normal(
-            scale=self.pixel_noise, size=(len(candidate), 2)
-        )
-        descriptors = (
-            np.stack([self._noisy_descriptor(sites[i].site_id) for i in candidate])
-            if len(candidate)
-            else np.zeros((0, 32), dtype=np.uint8)
-        )
-        return Observation(pixels=noisy_pixels, descriptors=descriptors)
+        return pixels, candidate

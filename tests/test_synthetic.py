@@ -252,6 +252,19 @@ class TestWorldAndVideo:
         again, _ = video.frame_at(1)
         assert again is frames[1][0]
 
+    def test_video_cache_evicts_oldest_first(self):
+        video = make_dataset("davis_like", num_frames=5, resolution=(96, 72))
+        assert video._cache_capacity == 48
+        video._cache_capacity = 2
+        first, _ = video.frame_at(0)
+        second, _ = video.frame_at(1)
+        # A hit does not refresh a frame's place: eviction is FIFO.
+        assert video.frame_at(0)[0] is first
+        video.frame_at(2)
+        assert list(video._cache) == [1, 2]
+        assert video.frame_at(1)[0] is second
+        assert video.frame_at(0)[0] is not first
+
     def test_video_index_bounds(self):
         video = make_dataset("davis_like", num_frames=3, resolution=(160, 120))
         with pytest.raises(IndexError):
