@@ -156,26 +156,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
     video = _make_video(spec)
     client = build_client(spec.system, video, seed=spec.seed, tracer=tracer)
     channel = make_channel(spec.network, np.random.default_rng(spec.seed + 17))
-    device = DEVICES[spec.server_device]
-    if spec.server_latency_scale != 1.0:
-        device = DeviceProfile(
-            f"{device.name}-x{spec.server_latency_scale:g}",
-            device.speed / spec.server_latency_scale,
-        )
-    server = EdgeServer(
-        SimulatedSegmentationModel(
-            "mask_rcnn_r101",
-            device,
-            np.random.default_rng(spec.seed + 29),
-            metrics=tracer.metrics,
-        ),
-        tracer=tracer,
-    )
-    sampler = (
-        TimelineSampler(tracer.metrics, interval_ms=spec.sample_interval_ms)
-        if spec.sample_interval_ms is not None
-        else None
-    )
+    (server,), sampler = _edge_servers(spec, tracer, count=1)
     pipeline = Pipeline(
         video,
         client,
@@ -200,6 +181,38 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
         sampler=sampler,
         tracer=tracer if spec.trace else None,
     )
+
+
+def _edge_servers(
+    spec, tracer: Tracer, count: int
+) -> tuple[list[EdgeServer], TimelineSampler | None]:
+    """The ``count`` edge servers of an experiment (server ``i`` seeded
+    ``seed + 29 + i`` on the spec's possibly slowed device) and its
+    timeline sampler (None unless the spec sets an interval)."""
+    device = DEVICES[spec.server_device]
+    if spec.server_latency_scale != 1.0:
+        device = DeviceProfile(
+            f"{device.name}-x{spec.server_latency_scale:g}",
+            device.speed / spec.server_latency_scale,
+        )
+    servers = [
+        EdgeServer(
+            SimulatedSegmentationModel(
+                "mask_rcnn_r101",
+                device,
+                np.random.default_rng(spec.seed + 29 + index),
+                metrics=tracer.metrics,
+            ),
+            tracer=tracer,
+        )
+        for index in range(count)
+    ]
+    sampler = (
+        TimelineSampler(tracer.metrics, interval_ms=spec.sample_interval_ms)
+        if spec.sample_interval_ms is not None
+        else None
+    )
+    return servers, sampler
 
 
 def _run_with_monitor(pipeline: Pipeline, monitor: ResourceMonitor, client, channel):
@@ -387,24 +400,7 @@ def run_fleet(spec: FleetSpec) -> FleetOutcome:
             )
         sessions.append(ClientSession(video=video, client=client, channel=channel))
 
-    device = DEVICES[spec.server_device]
-    if spec.server_latency_scale != 1.0:
-        device = DeviceProfile(
-            f"{device.name}-x{spec.server_latency_scale:g}",
-            device.speed / spec.server_latency_scale,
-        )
-    servers = [
-        EdgeServer(
-            SimulatedSegmentationModel(
-                "mask_rcnn_r101",
-                device,
-                np.random.default_rng(spec.seed + 29 + index),
-                metrics=tracer.metrics,
-            ),
-            tracer=tracer,
-        )
-        for index in range(num_servers)
-    ]
+    servers, sampler = _edge_servers(spec, tracer, count=num_servers)
 
     scheduler = None
     autoscaler = None
@@ -447,11 +443,6 @@ def run_fleet(spec: FleetSpec) -> FleetOutcome:
     else:
         backend = servers[0]
 
-    sampler = (
-        TimelineSampler(tracer.metrics, interval_ms=spec.sample_interval_ms)
-        if spec.sample_interval_ms is not None
-        else None
-    )
     if chaos is not None:
         chaos.bind(scheduler if scheduler is not None else backend, sessions, tracer)
     pipeline = MultiClientPipeline(

@@ -1,8 +1,14 @@
-"""Multi-client pipeline: several devices sharing edge inference.
+"""The frame loop: one or more devices sharing edge inference.
 
-The paper's field deployment connects *eight* mobile devices to a single
-Jetson AGX Xavier (Section VI-G).  :class:`MultiClientPipeline` interleaves
-any number of (video, client, channel) sessions against either
+The paper measures one device against one edge (Fig 9/11) and eight
+devices sharing one Jetson AGX Xavier (Section VI-G); both follow the same
+per-frame timeline (deliver finished results, run the client turn,
+offload, score what is on screen).  :class:`MultiClientPipeline` is the
+only implementation of that timeline.  A single-client
+:class:`~repro.runtime.pipeline.Pipeline` run is its one-session case
+against a bare server, traced on the unindexed ``client``/``channel``
+lanes.  The loop interleaves any number of (video, client, channel)
+sessions against either
 
 * one bare :class:`~repro.runtime.pipeline.EdgeServer` — the paper's
   deployment topology: a single-inference-at-a-time FIFO queue, unbounded
@@ -29,7 +35,6 @@ from ..synthetic.world import SyntheticVideo
 from .interface import ClientSystem
 from .pipeline import (
     RESULT_HEADER_BYTES,
-    EdgeServer,
     FrameMetric,
     PipelineMetrics,
     RunResult,
@@ -53,9 +58,10 @@ class ClientSession:
     pending: list[_PendingDelivery] = field(default_factory=list)
     metrics: list[FrameMetric] = field(default_factory=list)
     offload_count: int = 0
-    # Trace lane names (set by the pipeline from the session index).
-    client_lane: str = "client"
-    channel_lane: str = "channel"
+    # Trace lane names; unnamed sessions get client<i>/channel<i> from
+    # their index in the fleet.
+    client_lane: str | None = None
+    channel_lane: str | None = None
 
 
 class MultiClientPipeline:
@@ -86,19 +92,19 @@ class MultiClientPipeline:
                 "mixed-fps fleet would mis-time every session but the first"
             )
         self.sessions = sessions
-        # ``server`` is either a bare EdgeServer (legacy FIFO topology)
-        # or a repro.serve FleetScheduler (duck-typed: anything with
-        # submit/advance/stats is treated as a scheduler).
+        # ``server`` is either a bare EdgeServer (the paper's FIFO
+        # topology) or a repro.serve FleetScheduler (duck-typed: anything
+        # with submit/advance/stats is treated as a scheduler).  Both
+        # expose busy_ms_total, is_free_at and attach_tracer.
+        self.backend = server
         self.scheduler = server if hasattr(server, "advance") else None
-        self.server = None if self.scheduler is not None else server
         self.warmup_frames = warmup_frames
         self.min_gt_area = min_gt_area
         # Per-frame display deadline; None = one frame interval.
         self.deadline_budget_ms = deadline_budget_ms
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        backend = self.scheduler if self.scheduler is not None else self.server
-        if self.tracer.enabled and not backend.tracer.enabled:
-            backend.attach_tracer(self.tracer)
+        if self.tracer.enabled and not server.tracer.enabled:
+            server.attach_tracer(self.tracer)
         # Optional repro.obs.timeline.TimelineSampler, ticked once per
         # frame tick so fleet gauges become fixed-interval time series.
         self.sampler = sampler
@@ -123,19 +129,22 @@ class MultiClientPipeline:
         self._latency_ewma: float | None = None
         # One client+channel lane pair per device, one shared server lane.
         for index, session in enumerate(self.sessions):
-            session.client_lane = f"client{index}"
-            session.channel_lane = f"channel{index}"
+            if session.client_lane is None:
+                session.client_lane = f"client{index}"
+            if session.channel_lane is None:
+                session.channel_lane = f"channel{index}"
         # Last offload-mode pushed to each client (scheduler path only).
         self._offload_enabled = [True] * len(self.sessions)
         self._frame_interval = 1000.0 / self.sessions[0].video.fps
 
-    @property
-    def _server_busy_ms(self) -> float:
-        if self.scheduler is not None:
-            return self.scheduler.busy_ms_total
-        return self.server.busy_ms_total
-
     def run(self) -> list[RunResult]:
+        """Run every session to the end; one RunResult per session."""
+        return self._run_frames()
+
+    def _run_frames(self) -> list[RunResult]:
+        # The one frame loop.  ``Pipeline.run`` calls it directly rather
+        # than through ``run``, so each class's ``run`` times one loop
+        # (perfbench/worker.py wraps both).
         num_frames = len(self.sessions[0].video)
         frame_interval = self._frame_interval
 
@@ -167,7 +176,7 @@ class MultiClientPipeline:
                 offload_count=session.offload_count,
                 bytes_up=session.channel.bytes_up,
                 bytes_down=session.channel.bytes_down,
-                server_busy_ms=self._server_busy_ms,
+                server_busy_ms=self.backend.busy_ms_total,
                 duration_ms=duration,
             )
             for session in self.sessions
@@ -180,7 +189,6 @@ class MultiClientPipeline:
         """Drain the fleet scheduler and apply its verdicts: deliver
         completions through each session's downlink, notify clients of
         sheds, and push degrade/recover mode flips to the clients."""
-        tracer = self.tracer
         for outcome in self.scheduler.advance(now):
             session = self.sessions[outcome.item.session_index]
             if outcome.kind == "shed":
@@ -188,34 +196,18 @@ class MultiClientPipeline:
                     session, outcome.item.frame_index, now
                 )
                 continue
-            result_bytes = encoded_size_bytes(outcome.masks) + RESULT_HEADER_BYTES
+            result_bytes = self._send_result(
+                session,
+                outcome.item.frame_index,
+                outcome.masks,
+                outcome.completion_ms,
+                outcome.item.ctx,
+                server=outcome.server_index,
+            )
             if self._meter is not None and outcome.item.tenant is not None:
                 self._meter.add(
                     outcome.item.tenant, "bytes_down", float(result_bytes)
                 )
-            downlink = session.channel.downlink_ms(
-                result_bytes, now_ms=outcome.completion_ms
-            )
-            if tracer.enabled:
-                tracer.add_span(
-                    "channel.downlink",
-                    lane=session.channel_lane,
-                    frame=outcome.item.frame_index,
-                    start_ms=outcome.completion_ms,
-                    dur_ms=downlink,
-                    ctx=outcome.item.ctx,
-                    payload_bytes=int(result_bytes),
-                    num_masks=len(outcome.masks),
-                    server=outcome.server_index,
-                    **_channel_transfer_attrs(session.channel),
-                )
-            session.pending.append(
-                _PendingDelivery(
-                    arrive_ms=outcome.completion_ms + downlink,
-                    frame_index=outcome.item.frame_index,
-                    masks=outcome.masks,
-                )
-            )
 
         for index, session in enumerate(self.sessions):
             enabled = not self.scheduler.is_degraded(index)
@@ -385,10 +377,6 @@ class MultiClientPipeline:
         )
         arrive = send_time_ms + request.encode_ms + uplink
 
-        if self.scheduler is not None:
-            backend_free = self.scheduler.is_free_at(arrive)
-        else:
-            backend_free = self.server.is_free_at(arrive)
         if tracer.enabled:
             tracer.add_span(
                 "channel.uplink",
@@ -398,7 +386,7 @@ class MultiClientPipeline:
                 dur_ms=uplink,
                 ctx=ctx,
                 payload_bytes=int(request.payload_bytes),
-                server_free_on_arrival=backend_free,
+                server_free_on_arrival=self.backend.is_free_at(arrive),
                 **_channel_transfer_attrs(session.channel),
             )
 
@@ -422,27 +410,36 @@ class MultiClientPipeline:
                 self._notify_offload_failed(session, request.frame_index, now)
             return
 
-        completion, detections = self.server.submit(
+        completion, detections = self.backend.submit(
             request, truth.masks, frame.shape, arrive, ctx=ctx
         )
-        result_bytes = encoded_size_bytes(detections) + RESULT_HEADER_BYTES
-        downlink = session.channel.downlink_ms(result_bytes, now_ms=completion)
-        if tracer.enabled:
-            tracer.add_span(
+        self._send_result(session, request.frame_index, detections, completion, ctx)
+
+    def _send_result(
+        self, session, frame_index, masks, completion_ms, ctx, **attrs
+    ) -> int:
+        """Ship a finished result down the session's channel and queue its
+        delivery; returns the result's size in bytes."""
+        result_bytes = encoded_size_bytes(masks) + RESULT_HEADER_BYTES
+        downlink = session.channel.downlink_ms(result_bytes, now_ms=completion_ms)
+        if self.tracer.enabled:
+            self.tracer.add_span(
                 "channel.downlink",
                 lane=session.channel_lane,
-                frame=request.frame_index,
-                start_ms=completion,
+                frame=frame_index,
+                start_ms=completion_ms,
                 dur_ms=downlink,
                 ctx=ctx,
                 payload_bytes=int(result_bytes),
-                num_masks=len(detections),
+                num_masks=len(masks),
+                **attrs,
                 **_channel_transfer_attrs(session.channel),
             )
         session.pending.append(
             _PendingDelivery(
-                arrive_ms=completion + downlink,
-                frame_index=request.frame_index,
-                masks=detections,
+                arrive_ms=completion_ms + downlink,
+                frame_index=frame_index,
+                masks=masks,
             )
         )
+        return result_bytes

@@ -258,6 +258,6 @@ class TestPipelineState:
     def test_pending_list_initialized_in_init(self):
         pipeline = make_pipeline(_NullClient(), frames=5)
         # No lazy hasattr-guarded creation: the queue exists before run().
-        assert pipeline._pending_list == []
+        assert pipeline.session.pending == []
         pipeline.run()
-        assert pipeline._pending_list == []  # drained by the end of the run
+        assert pipeline.session.pending == []  # drained by the end of the run
