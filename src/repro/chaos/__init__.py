@@ -13,9 +13,9 @@ halves:
   injectors for the serving stack (replica kill/revive, stragglers,
   channel partitions).
 
-The ``chaos`` bench suite (``repro chaos`` / ``repro bench --suite
-chaos``) runs the scenario x fault matrix and certifies every cell's
-error-budget ``consumed_fraction < 1.0``.
+The ``chaos`` bench suite (``repro bench run --suite chaos``) runs the
+scenario x fault matrix and certifies every cell's error-budget
+``consumed_fraction < 1.0``.
 """
 
 from .faults import FAULT_KINDS, FAULTS, ChaosInjector, FaultSpec, make_faults

@@ -7,19 +7,22 @@ Examples::
     python -m repro.eval.cli compare --dataset xiph_like
     python -m repro.eval.cli trace fig9 --frames 150 --out results/traces/fig9
     python -m repro.eval.cli bench run --suite smoke --label dev
+    python -m repro.eval.cli bench run --suite chaos --label dev
     python -m repro.eval.cli bench compare results/BENCH_smoke_old.json \
         results/BENCH_smoke_new.json
     python -m repro.eval.cli bench trend
     python -m repro.eval.cli report --suite fleet --label dev --format md,html
-    python -m repro.eval.cli chaos --scenario wifi-to-lte --fault replica-outage
-    python -m repro.eval.cli tenants --label dev
+    python -m repro.eval.cli serve --scenario wifi-to-lte --fault replica-outage
     python -m repro.eval.cli list
 
 ``trace`` and ``report`` share one ``--format`` convention: a
 comma-separated subset of ``table,jsonl,chrome,md,html`` (each verb
-accepts the formats it can render).  ``serve``/``bench run``/``chaos``/
-``why``/``tenants`` all take ``--list`` to print the names they accept
-(deterministic order, exit 0) without running anything.
+accepts the formats it can render).  ``serve``/``bench run``/``why`` all
+take ``--list`` to print the names they accept (deterministic order,
+exit 0) without running anything.  ``bench run`` certifies the suites
+that carry a claim (``chaos``: every cell holds its SLO error budget;
+``tenants``: premium isolation under saturation) and exits 1 when the
+claim does not hold.
 """
 
 from __future__ import annotations
@@ -35,15 +38,12 @@ from ..obs import (
     DEFAULT_SAMPLE_INTERVAL_MS,
     DEFAULT_SLO_TARGET,
     FRAME_BUDGET_MS,
-    SUITES,
     build_report,
     build_why,
     compare_payloads,
     evaluate_slo,
     mean_frame_latency_ms,
     render_comparison,
-    run_scenario,
-    run_suite,
     stage_table,
     write_bench,
     write_chrome_trace,
@@ -65,6 +65,7 @@ from .experiments import (
     run_fleet,
 )
 from .reporting import Table, result_payload, save_json
+from .suites import SUITES, run_suite
 
 __all__ = ["main", "TRACE_BENCHES"]
 
@@ -128,15 +129,6 @@ def _add_list_flag(sub) -> None:
         action="store_true",
         help="list the names this verb accepts and exit",
     )
-
-
-def _require_known(kind: str, value, allowed) -> None:
-    """Shared unknown-name check: every verb raises the same one-line
-    ``ValueError`` (rendered as ``error: ...`` by :func:`main`)."""
-    if value is not None and value not in allowed:
-        raise ValueError(
-            f"unknown {kind} {value!r}; pick from {', '.join(sorted(allowed))}"
-        )
 
 
 def _spec_from_args(args, system: str | None = None) -> ExperimentSpec:
@@ -379,68 +371,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    """Run the adversarial scenario x fault matrix and certify that every
-    cell holds its SLO error budget through degrade -> recover."""
-    if args.list_names:
-        return _print_listing(
-            {
-                "scenarios": tuple(sorted(SCENARIOS)),
-                "faults": tuple(sorted(FAULTS)),
-                "cells": tuple(cell.name for cell in SUITES["chaos"]),
-            }
-        )
-    _require_known("scenario", args.scenario, SCENARIOS)
-    _require_known("fault program", args.fault, FAULTS)
-    cells = [
-        cell
-        for cell in SUITES["chaos"]
-        if (args.scenario is None or cell.chaos_scenario == args.scenario)
-        and (args.fault is None or cell.fault == args.fault)
-    ]
-    filtered = len(cells) != len(SUITES["chaos"])
-
-    if filtered:
-        # A filtered run is exploratory: run just those cells, no artifact.
-        scenarios = {
-            cell.name: run_scenario(cell, budget_ms=args.budget_ms)
-            for cell in cells
-        }
-        path = None
-    else:
-        payload = run_suite("chaos", args.label, budget_ms=args.budget_ms)
-        path = write_bench(payload, args.out)
-        scenarios = payload["scenarios"]
-
-    table = Table(
-        f"chaos matrix [{args.label}] — certify consumed_fraction < 1.0",
-        ["cell", "miss rate", "budget used %", "events", "certified"],
-    )
-    failed = []
-    for name in sorted(scenarios):
-        cell = scenarios[name]
-        consumed = cell["budget"]["consumed_fraction"]
-        certified = cell["chaos"]["certified"]
-        if not certified:
-            failed.append(name)
-        table.add_row(
-            name,
-            cell["slo"]["miss_rate"],
-            round(consumed * 100.0, 2),
-            len(cell["chaos"]["events"]),
-            "yes" if certified else "NO",
-        )
-    table.print()
-    if path is not None:
-        print(f"wrote  {path}")
-    if failed:
-        for name in failed:
-            print(f"NOT CERTIFIED: {name} blew its SLO error budget")
-        return 1
-    print(f"certified: all {len(scenarios)} cells held their error budget")
-    return 0
-
-
 def _cmd_bench_run(args) -> int:
     """Run a benchmark suite and write its BENCH artifact."""
     if args.list_names:
@@ -503,6 +433,19 @@ def _cmd_bench_run(args) -> int:
     if have_kernels:
         kernel_table.print()
     print(f"wrote  {path}")
+    certification = payload.get("certification")
+    if certification is None:
+        return 0
+    checks = certification.get("checks", {})
+    for check_name in sorted(checks):
+        check = checks[check_name]
+        detail = " ".join(f"{k}={check[k]}" for k in sorted(check) if k != "ok")
+        print(f"{'PASS' if check['ok'] else 'FAIL'}  {check_name}  {detail}")
+    if not certification["certified"]:
+        error = certification.get("error")
+        print(f"NOT CERTIFIED: suite {args.suite}" + (f" ({error})" if error else ""))
+        return 1
+    print(f"certified: suite {args.suite}, all {len(checks)} checks hold")
     return 0
 
 
@@ -614,85 +557,6 @@ def _cmd_why(args) -> int:
     if why["unclassified"] > 0:
         print(f"UNCLASSIFIED: {why['unclassified']} miss(es) have no cause")
         return 1
-    return 0
-
-
-def _cmd_tenants(args) -> int:
-    """Run the multi-tenant serving suite, render per-tenant fairness
-    and metering, and certify the premium-isolation claim."""
-    if args.list_names:
-        return _print_listing(
-            {
-                "qos": tuple(sorted(QOS_CLASSES)),
-                "default tenants": tuple(
-                    f"{spec.name}:{spec.qos}:{spec.num_sessions}"
-                    for spec in DEFAULT_TENANTS
-                ),
-                "cells": tuple(cell.name for cell in SUITES["tenants"]),
-            }
-        )
-    payload = run_suite("tenants", args.label, budget_ms=args.budget_ms)
-    path = write_bench(payload, args.out)
-    for name in sorted(payload["scenarios"]):
-        cell = payload["scenarios"][name]
-        section = cell.get("tenants")
-        if section is None:
-            continue
-        table = Table(
-            f"tenants — {name} [{cell['spec']['role']}]",
-            [
-                "tenant",
-                "qos",
-                "submitted",
-                "admitted",
-                "shed",
-                "displaced",
-                "completed",
-                "server ms",
-                "miss rate",
-                "degrades",
-            ],
-        )
-        for tenant_name, entry in section["per_tenant"].items():
-            table.add_row(
-                tenant_name,
-                entry["qos"],
-                entry["submitted"],
-                entry["admitted"],
-                entry["shed"],
-                entry["displaced"],
-                entry["completed"],
-                entry["server_ms"],
-                entry["slo"]["miss_rate"],
-                entry["degrade_events"],
-            )
-        table.print()
-        recon = section["reconciliation"]
-        print(
-            "  reconciliation: requests "
-            + ("exact" if recon["requests_exact"] else "MISMATCH")
-            + f", server_ms delta {recon['server_ms_delta']:.6f}"
-        )
-        autoscale = cell.get("autoscale")
-        if autoscale is not None:
-            print(
-                f"  autoscale: scale_ups={autoscale['scale_ups']} "
-                f"scale_downs={autoscale['scale_downs']} "
-                f"replicas={autoscale['replica_series']}"
-            )
-        print()
-    certification = payload["certification"]
-    for check_name in sorted(certification.get("checks", {})):
-        check = certification["checks"][check_name]
-        detail = " ".join(
-            f"{k}={check[k]}" for k in sorted(check) if k != "ok"
-        )
-        print(f"{'PASS' if check['ok'] else 'FAIL'}  {check_name}  {detail}")
-    print(f"wrote  {path}")
-    if not certification["certified"]:
-        print("NOT CERTIFIED: premium isolation claim does not hold")
-        return 1
-    print("certified: premium isolation holds under best-effort saturation")
     return 0
 
 
@@ -958,36 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(report_parser, ("md", "html"), "md,html")
     report_parser.set_defaults(func=_cmd_report)
 
-    chaos_parser = subparsers.add_parser(
-        "chaos",
-        help="run the adversarial scenario x fault matrix and certify the"
-        " SLO error budget holds through degrade -> recover",
-    )
-    chaos_parser.add_argument(
-        "--scenario",
-        default=None,
-        help=f"restrict to one scenario ({', '.join(sorted(SCENARIOS))})",
-    )
-    chaos_parser.add_argument(
-        "--fault",
-        default=None,
-        help=f"restrict to one fault program ({', '.join(sorted(FAULTS))})",
-    )
-    chaos_parser.add_argument(
-        "--label", default="dev", help="artifact label (BENCH_chaos_<label>.json)"
-    )
-    chaos_parser.add_argument(
-        "--out", default="results", help="output directory (default results/)"
-    )
-    chaos_parser.add_argument(
-        "--budget-ms",
-        type=float,
-        default=FRAME_BUDGET_MS,
-        help="per-frame deadline for SLO evaluation (default 33.33 ms = 30 fps)",
-    )
-    _add_list_flag(chaos_parser)
-    chaos_parser.set_defaults(func=_cmd_chaos)
-
     why_parser = subparsers.add_parser(
         "why",
         help="explain deadline misses: per-frame critical-path waterfalls"
@@ -1024,26 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_list_flag(why_parser)
     why_parser.set_defaults(func=_cmd_why)
-
-    tenants_parser = subparsers.add_parser(
-        "tenants",
-        help="run the multi-tenant serving suite: weighted-fair admission,"
-        " per-tenant metering, autoscaling, premium-isolation certification",
-    )
-    tenants_parser.add_argument(
-        "--label", default="dev", help="artifact label (BENCH_tenants_<label>.json)"
-    )
-    tenants_parser.add_argument(
-        "--out", default="results", help="output directory (default results/)"
-    )
-    tenants_parser.add_argument(
-        "--budget-ms",
-        type=float,
-        default=FRAME_BUDGET_MS,
-        help="per-frame deadline for SLO evaluation (default 33.33 ms = 30 fps)",
-    )
-    _add_list_flag(tenants_parser)
-    tenants_parser.set_defaults(func=_cmd_tenants)
 
     list_parser = subparsers.add_parser("list", help="list available names")
     list_parser.set_defaults(func=_cmd_list)

@@ -304,6 +304,49 @@ class FleetSpec:
     autoscale_hold_ms: float = 1000.0
     autoscale_cooldown_ms: float = 100.0
 
+    def __post_init__(self) -> None:
+        """Reject cross-field combinations the fleet cannot run, so a
+        malformed spec fails at construction rather than mid-suite."""
+        if self.num_clients < 1:
+            raise ValueError("FleetSpec.num_clients must be >= 1")
+        if not self.scheduler and self.num_servers != 1:
+            raise ValueError(
+                "the legacy FIFO topology has exactly one server; "
+                "set scheduler=True to use num_servers > 1"
+            )
+        if self.tenants is not None:
+            tenancy = TenantDirectory(list(parse_tenants(self.tenants)))
+            if not self.scheduler:
+                raise ValueError(
+                    "tenancy requires the serving layer; set scheduler=True"
+                )
+            if tenancy.num_sessions != self.num_clients:
+                raise ValueError(
+                    f"tenant session counts sum to {tenancy.num_sessions} "
+                    f"but the fleet has num_clients={self.num_clients}"
+                )
+        if self.autoscale and not self.scheduler:
+            raise ValueError("autoscaling requires the serving layer; set scheduler=True")
+        num_servers = self.autoscale_max if self.autoscale else self.num_servers
+        if self.scenario is not None:
+            make_scenario(self.scenario)
+        faults = make_faults(self.faults)
+        if faults and not self.scheduler:
+            needs_scheduler = [f.kind for f in faults if f.kind != "stall_channel"]
+            if needs_scheduler:
+                raise ValueError(
+                    f"fault kinds {needs_scheduler} act on the FleetScheduler; "
+                    "set scheduler=True to inject them"
+                )
+        for fault in faults:
+            if fault.kind in ("kill_replica", "straggler") and not (
+                0 <= fault.target < num_servers
+            ):
+                raise ValueError(
+                    f"fault target {fault.target} out of range for "
+                    f"{num_servers} server(s)"
+                )
+
 
 @dataclass
 class FleetOutcome:
@@ -322,47 +365,14 @@ class FleetOutcome:
 def run_fleet(spec: FleetSpec) -> FleetOutcome:
     """Run ``num_clients`` sessions against the serving layer (or the
     legacy bare FIFO server when ``spec.scheduler`` is False)."""
-    if spec.num_clients < 1:
-        raise ValueError("FleetSpec.num_clients must be >= 1")
-    if not spec.scheduler and spec.num_servers != 1:
-        raise ValueError(
-            "the legacy FIFO topology has exactly one server; "
-            "set scheduler=True to use num_servers > 1"
-        )
     tenancy = (
         TenantDirectory(list(parse_tenants(spec.tenants)))
         if spec.tenants is not None
         else None
     )
-    if tenancy is not None and not spec.scheduler:
-        raise ValueError("tenancy requires the serving layer; set scheduler=True")
-    if tenancy is not None and tenancy.num_sessions != spec.num_clients:
-        raise ValueError(
-            f"tenant session counts sum to {tenancy.num_sessions} "
-            f"but the fleet has num_clients={spec.num_clients}"
-        )
-    if spec.autoscale and not spec.scheduler:
-        raise ValueError("autoscaling requires the serving layer; set scheduler=True")
     num_servers = spec.autoscale_max if spec.autoscale else spec.num_servers
-    # Resolve chaos knobs up front so unknown names fail before any
-    # rendering happens.
     scenario = make_scenario(spec.scenario) if spec.scenario is not None else None
     faults = make_faults(spec.faults)
-    if faults and not spec.scheduler:
-        needs_scheduler = [f.kind for f in faults if f.kind != "stall_channel"]
-        if needs_scheduler:
-            raise ValueError(
-                f"fault kinds {needs_scheduler} act on the FleetScheduler; "
-                "set scheduler=True to inject them"
-            )
-    for fault in faults:
-        if fault.kind in ("kill_replica", "straggler") and not (
-            0 <= fault.target < num_servers
-        ):
-            raise ValueError(
-                f"fault target {fault.target} out of range for "
-                f"{num_servers} server(s)"
-            )
     tracer = Tracer(wall_clock=spec.trace_wall_clock) if spec.trace else NULL_TRACER
 
     # One deterministic scene + client per device; independent channel

@@ -64,17 +64,8 @@ from .budget import (
     session_timelines,
 )
 from .bench import (
-    SUITES,
-    BenchScenario,
-    ChaosBenchScenario,
-    FleetBenchScenario,
-    KernelBenchScenario,
-    TenantBenchScenario,
     bench_filename,
     dump_bench,
-    run_scenario,
-    run_scenario_observed,
-    run_suite,
     stage_percentiles,
     write_bench,
 )
@@ -141,17 +132,8 @@ __all__ = [
     "detect_budget_exhaustion",
     "evaluate_error_budget",
     "session_timelines",
-    "SUITES",
-    "BenchScenario",
-    "ChaosBenchScenario",
-    "FleetBenchScenario",
-    "KernelBenchScenario",
-    "TenantBenchScenario",
     "bench_filename",
     "dump_bench",
-    "run_scenario",
-    "run_scenario_observed",
-    "run_suite",
     "stage_percentiles",
     "write_bench",
     "build_report",

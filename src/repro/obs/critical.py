@@ -310,21 +310,16 @@ def build_why(
     {name: miss_causes section}}`` — the caller turns a non-zero
     ``unclassified`` into a failing exit code.
     """
-    # Imported here: bench pulls in the experiment harness, which imports
-    # this package — a module-level import would be circular.
-    from .bench import SUITES, KernelBenchScenario, run_scenario_observed
+    # Imported here: the suites pull in the experiment harness, which
+    # imports this package — a module-level import would be circular.
+    from ..eval.suites import run_cell, suite_cells
     from .slo import FRAME_BUDGET_MS
 
-    if suite not in SUITES:
-        raise KeyError(
-            f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}"
-        )
     budget = FRAME_BUDGET_MS if budget_ms is None else float(budget_ms)
     cells = [
         cell
-        for cell in SUITES[suite]
-        if not isinstance(cell, KernelBenchScenario)
-        and (scenario is None or cell.name == scenario)
+        for cell in suite_cells(suite, traced=True)
+        if scenario is None or cell.name == scenario
     ]
     if not cells:
         raise ValueError(
@@ -335,11 +330,12 @@ def build_why(
     summaries: dict[str, dict] = {}
     total_unclassified = 0
     for cell in cells:
-        _payload, observed = run_scenario_observed(cell, budget_ms=budget)
+        _payload, observed = run_cell(cell, budget_ms=budget)
         tracer = observed["tracer"]
-        misses = classify_misses(tracer, cell.warmup_frames)
+        warmup = cell.spec.warmup_frames
+        misses = classify_misses(tracer, warmup)
         lineages = build_lineages(tracer)
-        summary = miss_causes(tracer, budget, cell.warmup_frames)
+        summary = miss_causes(tracer, budget, warmup)
         summaries[cell.name] = summary
         total_unclassified += summary["unclassified"]
         sections.extend(

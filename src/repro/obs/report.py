@@ -74,26 +74,13 @@ def build_report(
     budgets, session trajectories and anomalies into one report payload
     (a superset of the BENCH scenario sections)."""
     from ..eval.reporting import SCHEMA_VERSION
-    from .bench import (
-        SUITES,
-        KernelBenchScenario,
-        environment_fingerprint,
-        run_scenario_observed,
-    )
+    from ..eval.suites import run_cell, suite_cells
+    from .bench import environment_fingerprint
 
-    if suite not in SUITES:
-        raise KeyError(
-            f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}"
-        )
     scenarios: dict[str, dict] = {}
-    for scenario in SUITES[suite]:
-        if isinstance(scenario, KernelBenchScenario):
-            # Kernel micro cells are gated by `bench compare`, not the
-            # ops console — and their wall-clock fields would break the
-            # report's byte-determinism contract.
-            continue
-        payload, observed = run_scenario_observed(
-            scenario,
+    for cell in suite_cells(suite, traced=True):
+        payload, observed = run_cell(
+            cell,
             degrade=degrade,
             budget_ms=budget_ms,
             slo_target=slo_target,
@@ -103,14 +90,14 @@ def build_report(
         sampler = observed["sampler"]
         duration_ms = observed["duration_ms"]
         anomalies = detect_latency_spikes(
-            tracer, warmup_frames=scenario.warmup_frames, emit=True
+            tracer, warmup_frames=cell.spec.warmup_frames, emit=True
         )
         anomalies += detect_queue_growth(sampler, tracer=tracer, emit=True)
         anomalies += detect_budget_exhaustion(
             observed["budget"], tracer=tracer, emit=True
         )
         anomalies.sort(key=lambda a: (-a.get("severity", 0.0), a["ts_ms"], a["type"]))
-        scenarios[scenario.name] = {
+        scenarios[cell.name] = {
             **payload,
             "budget": observed["budget"],  # full form, with burn_series
             "timeline": sampler.to_dict() if sampler is not None else None,

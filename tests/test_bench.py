@@ -9,14 +9,12 @@ from repro.eval.cli import main as cli_main
 from repro.eval.reporting import SCHEMA_VERSION
 # Note: ``bench_filename`` is deliberately not imported at module scope —
 # this repo's pytest config collects ``bench_*`` functions as tests.
+from repro.eval import suites as suites_mod
+from repro.eval.suites import SUITES, BenchCell, run_suite, spec_section
 from repro.obs import bench as bench_mod
 from repro.obs.bench import (
-    SUITES,
-    BenchScenario,
-    KernelBenchScenario,
     dump_bench,
     environment_fingerprint,
-    run_suite,
     strip_timing,
     write_bench,
 )
@@ -100,11 +98,23 @@ class TestSuiteRegistry:
         assert {"micro", "smoke", "full"} <= set(SUITES)
         for scenarios in SUITES.values():
             assert scenarios
-            assert all(isinstance(s, BenchScenario) for s in scenarios)
+            assert all(isinstance(s, BenchCell) for s in scenarios)
 
     def test_unknown_suite_raises(self):
         with pytest.raises(KeyError, match="unknown suite"):
             run_suite("no-such-suite", "x")
+
+    @pytest.mark.parametrize("suite", ["micro", "smoke", "fleet", "chaos", "tenants"])
+    def test_cell_specs_match_committed_baselines(self, suite):
+        """Each cell's artifact ``spec`` section equals the committed
+        baseline's, without running anything: a spec default that drifts
+        (ExperimentSpec.num_frames is 180, the suites run 150 or fewer)
+        shows up here instead of as a moved baseline."""
+        with open(f"benchmarks/baselines/BENCH_{suite}_baseline.json") as fh:
+            baseline = json.load(fh)["scenarios"]
+        assert {cell.name for cell in SUITES[suite]} == set(baseline)
+        for cell in SUITES[suite]:
+            assert spec_section(cell) == baseline[cell.name]["spec"], cell.name
 
     def test_filename(self):
         assert bench_mod.bench_filename("smoke", "ci") == "BENCH_smoke_ci.json"
@@ -352,6 +362,30 @@ class TestBenchCli:
         assert payload["schema_version"] == SCHEMA_VERSION
         out = capsys.readouterr().out
         assert "miss rate" in out and "wrote" in out
+
+    def test_bench_run_fails_on_failed_certification(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        cell = BenchCell("k", suites_mod.KernelSpec("fast.arc_run", repeats=1))
+        monkeypatch.setitem(suites_mod.SUITES, "doomed", (cell,))
+        monkeypatch.setitem(
+            suites_mod.CERTIFIERS,
+            "doomed",
+            lambda payload: {
+                "certified": False,
+                "checks": {"always_fails": {"ok": False, "cells": 1}},
+            },
+        )
+        code = cli_main(
+            ["bench", "run", "--suite", "doomed", "--label", "t",
+             "--out", str(tmp_path)]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "FAIL  always_fails  cells=1" in out
+        assert "NOT CERTIFIED" in out
+        payload = json.loads((tmp_path / "BENCH_doomed_t.json").read_text())
+        assert payload["certification"]["certified"] is False
 
     def test_bench_compare_exit_codes(
         self, micro_payload, degraded_payload, tmp_path, capsys

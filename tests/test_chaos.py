@@ -26,13 +26,8 @@ from repro.chaos import (
     make_scenario,
 )
 from repro.eval.experiments import FleetSpec, run_fleet
-from repro.obs.bench import (
-    SUITES,
-    ChaosBenchScenario,
-    dump_bench,
-    run_scenario,
-    strip_timing,
-)
+from repro.eval.suites import SUITES, BenchCell, _certify_chaos, run_cell
+from repro.obs.bench import dump_bench, strip_timing
 
 
 class TestRegistries:
@@ -66,9 +61,9 @@ class TestRegistries:
                 assert fault.kind in FAULT_KINDS
 
     def test_chaos_suite_spans_full_matrix(self):
-        """The hard-coded name lists in the bench suite must stay in sync
-        with the registries: every scenario x fault cell, exactly once."""
-        cells = {(c.chaos_scenario, c.fault) for c in SUITES["chaos"]}
+        """The chaos bench suite covers every scenario x fault cell of the
+        registries, exactly once."""
+        cells = {(c.spec.scenario, c.spec.faults) for c in SUITES["chaos"]}
         assert cells == {(s, f) for s in SCENARIOS for f in FAULTS}
         assert len(SUITES["chaos"]) == len(SCENARIOS) * len(FAULTS)
         names = [c.name for c in SUITES["chaos"]]
@@ -243,11 +238,10 @@ class TestInjector:
 
 class TestFleetFaultPlumbing:
     def test_server_fault_requires_scheduler(self):
-        spec = FleetSpec(
-            num_clients=1, num_frames=2, scheduler=False, faults="replica-outage"
-        )
         with pytest.raises(ValueError, match="scheduler=True"):
-            run_fleet(spec)
+            FleetSpec(
+                num_clients=1, num_frames=2, scheduler=False, faults="replica-outage"
+            )
 
     def test_fault_target_out_of_range(self, monkeypatch):
         import repro.eval.experiments as exp
@@ -255,7 +249,7 @@ class TestFleetFaultPlumbing:
         bad = (FaultSpec("kill_replica", at_ms=10.0, duration_ms=5.0, target=3),)
         monkeypatch.setattr(exp, "make_faults", lambda name: bad)
         with pytest.raises(ValueError, match="out of range"):
-            run_fleet(FleetSpec(num_clients=1, num_frames=2, num_servers=1))
+            FleetSpec(num_clients=1, num_frames=2, num_servers=1)
 
     def test_replica_outage_end_to_end(self):
         """Kill the only replica mid-run: submissions are rejected with
@@ -315,36 +309,40 @@ class TestByteDeterminism:
         ids=[f"{s}+{f}" for s, f in _DETERMINISM_PAIRS],
     )
     def test_same_cell_twice_is_byte_identical(self, scenario_name, fault_name):
-        cell = ChaosBenchScenario(
+        cell = BenchCell(
             f"{scenario_name}+{fault_name}",
-            system="baseline+mamt",
-            frames=24,
-            resolution=(96, 72),
-            warmup_frames=4,
-            num_clients=2,
-            num_servers=2,
-            chaos_scenario=scenario_name,
-            fault=fault_name,
+            FleetSpec(
+                num_clients=2,
+                num_frames=24,
+                resolution=(96, 72),
+                warmup_frames=4,
+                num_servers=2,
+                scenario=scenario_name,
+                faults=fault_name,
+            ),
+            slo_target=0.25,
         )
-        first = {"scenarios": {cell.name: run_scenario(cell)}}
-        second = {"scenarios": {cell.name: run_scenario(cell)}}
+        first = {"scenarios": {cell.name: run_cell(cell)[0]}}
+        second = {"scenarios": {cell.name: run_cell(cell)[0]}}
         assert dump_bench(strip_timing(first)) == dump_bench(strip_timing(second))
 
     def test_chaos_payload_section_present_and_json_clean(self):
         import json
 
-        cell = ChaosBenchScenario(
+        cell = BenchCell(
             "wifi-to-lte+uplink-stall",
-            system="baseline+mamt",
-            frames=24,
-            resolution=(96, 72),
-            warmup_frames=4,
-            num_clients=2,
-            num_servers=1,
-            chaos_scenario="wifi-to-lte",
-            fault="uplink-stall",
+            FleetSpec(
+                num_clients=2,
+                num_frames=24,
+                resolution=(96, 72),
+                warmup_frames=4,
+                num_servers=1,
+                scenario="wifi-to-lte",
+                faults="uplink-stall",
+            ),
+            slo_target=0.25,
         )
-        payload = run_scenario(cell)
+        payload, _ = run_cell(cell)
         chaos = payload["chaos"]
         assert chaos["scenario"] == "wifi-to-lte"
         assert chaos["fault"] == "uplink-stall"
@@ -353,3 +351,32 @@ class TestByteDeterminism:
         json.dumps(chaos)  # must be JSON-clean
         assert payload["spec"]["chaos_scenario"] == "wifi-to-lte"
         assert payload["spec"]["network"] == "wifi_5ghz"  # registry's choice
+
+
+class TestChaosCertification:
+    def test_filtered_cell_certifies(self):
+        """One scenario x fault cell of the suite runs end to end and the
+        suite certifier passes it as a single check."""
+        cell = next(c for c in SUITES["chaos"] if c.name == "lighting-flip+straggler")
+        payload, _ = run_cell(cell)
+        certification = _certify_chaos({"scenarios": {cell.name: payload}})
+        assert certification["certified"] is True
+        assert list(certification["checks"]) == [cell.name]
+        check = certification["checks"][cell.name]
+        assert check["ok"] and check["consumed_fraction"] < 1.0
+        assert check["slo_target"] == 0.25
+
+    def test_one_blown_budget_fails_the_suite(self):
+        def cell(certified: bool) -> dict:
+            return {
+                "chaos": {"certified": certified, "slo_target": 0.25, "events": []},
+                "budget": {"consumed_fraction": 0.5 if certified else 1.5},
+                "slo": {"miss_rate": 0.1},
+            }
+
+        certification = _certify_chaos(
+            {"scenarios": {"held": cell(True), "blown": cell(False)}}
+        )
+        assert certification["certified"] is False
+        assert certification["checks"]["held"]["ok"] is True
+        assert certification["checks"]["blown"]["ok"] is False

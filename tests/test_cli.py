@@ -131,13 +131,16 @@ class TestCleanErrors:
     def test_serve_unknown_scenario(self, capsys):
         code, err = self._run(["serve", "--scenario", "meteor-strike"], capsys)
         assert code == 2
-        assert err.startswith("error: unknown scenario")
+        assert err.startswith("error: unknown scenario 'meteor-strike'")
+        assert "crowded-occlusion" in err
         assert err.count("\n") == 1  # exactly one line
 
     def test_serve_unknown_fault(self, capsys):
         code, err = self._run(["serve", "--fault", "cosmic-ray"], capsys)
         assert code == 2
-        assert err.startswith("error: unknown fault program")
+        assert err.startswith("error: unknown fault program 'cosmic-ray'")
+        assert "replica-outage" in err
+        assert err.count("\n") == 1
 
     def test_bench_run_unknown_suite(self, capsys):
         code, err = self._run(["bench", "run", "--suite", "bogus"], capsys)
@@ -159,18 +162,6 @@ class TestCleanErrors:
         code, err = self._run(["report", "--suite", "bogus"], capsys)
         assert code == 2
         assert err.startswith("error: unknown suite 'bogus'")
-
-    def test_chaos_unknown_scenario(self, capsys):
-        code, err = self._run(["chaos", "--scenario", "bogus"], capsys)
-        assert code == 2
-        assert err.startswith("error: unknown scenario 'bogus'")
-        assert "crowded-occlusion" in err
-
-    def test_chaos_unknown_fault(self, capsys):
-        code, err = self._run(["chaos", "--fault", "bogus"], capsys)
-        assert code == 2
-        assert err.startswith("error: unknown fault program 'bogus'")
-        assert "replica-outage" in err
 
 
 class TestListFlags:
@@ -194,9 +185,12 @@ class TestListFlags:
         assert "chaos:" in out
 
     def test_chaos_list(self, capsys):
-        code, out = self._run(["chaos", "--list"], capsys)
+        code, out = self._run(["list"], capsys)
         assert code == 0
-        assert "scenarios:" in out and "faults:" in out and "cells:" in out
+        assert "scenarios:" in out and "faults:" in out
+        code, out = self._run(["bench", "run", "--list"], capsys)
+        assert code == 0
+        assert "chaos:" in out and "wifi-to-lte+replica-outage" in out
 
     def test_why_list(self, capsys):
         code, out = self._run(["why", "--list"], capsys)
@@ -204,15 +198,17 @@ class TestListFlags:
         assert "suites:" in out
 
     def test_tenants_list(self, capsys):
-        code, out = self._run(["tenants", "--list"], capsys)
+        code, out = self._run(["list"], capsys)
         assert code == 0
         assert "qos:" in out
-        assert "default tenants:" in out and "gold:premium:2" in out
-        assert "cells:" in out and "autoscale-burst" in out
+        assert "tenants:" in out and "gold:premium:2" in out
+        code, out = self._run(["bench", "run", "--list"], capsys)
+        assert code == 0
+        assert "tenants:" in out and "autoscale-burst" in out
 
     def test_list_output_is_deterministic(self, capsys):
-        first = self._run(["tenants", "--list"], capsys)
-        second = self._run(["tenants", "--list"], capsys)
+        first = self._run(["bench", "run", "--list"], capsys)
+        second = self._run(["bench", "run", "--list"], capsys)
         assert first == second
 
 
@@ -244,25 +240,3 @@ class TestTenantServe:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
-
-
-class TestChaosCommand:
-    def test_filtered_cell_certifies(self, capsys, tmp_path):
-        """A single scenario x fault cell runs end to end, prints the
-        certification table, and exits 0 without writing an artifact."""
-        code = main(
-            [
-                "chaos",
-                "--scenario",
-                "lighting-flip",
-                "--fault",
-                "straggler",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "lighting-flip+straggler" in out
-        assert "certified: all 1 cells held their error budget" in out
-        assert list(tmp_path.iterdir()) == []  # filtered runs write nothing

@@ -605,10 +605,25 @@ class TestFleetExperiment:
         assert len(outcome.results) == 2
 
     def test_fifo_multi_server_rejected(self):
-        from repro.eval.experiments import FleetSpec, run_fleet
+        from repro.eval.experiments import FleetSpec
 
         with pytest.raises(ValueError, match="exactly one server"):
-            run_fleet(FleetSpec(scheduler=False, num_servers=2))
+            FleetSpec(scheduler=False, num_servers=2)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"num_clients": 0}, "num_clients must be >= 1"),
+            ({"autoscale": True, "scheduler": False}, "autoscaling requires"),
+            ({"scenario": "meteor-strike"}, "unknown scenario"),
+            ({"faults": "cosmic-ray"}, "unknown fault program"),
+        ],
+    )
+    def test_malformed_spec_fails_at_construction(self, kwargs, message):
+        from repro.eval.experiments import FleetSpec
+
+        with pytest.raises(ValueError, match=message):
+            FleetSpec(**kwargs)
 
     def test_channel_rngs_are_independent(self):
         from repro.network import spawn_channel_rngs

@@ -403,20 +403,16 @@ class TestFleetIntegration:
 
     def test_tenancy_requires_scheduler(self):
         with pytest.raises(ValueError, match="scheduler"):
-            run_fleet(
-                FleetSpec(
-                    num_clients=2, num_frames=4, scheduler=False,
-                    tenants="gold:premium:2",
-                )
+            FleetSpec(
+                num_clients=2, num_frames=4, scheduler=False,
+                tenants="gold:premium:2",
             )
 
     def test_tenancy_session_count_must_match(self):
         with pytest.raises(ValueError, match="session counts"):
-            run_fleet(
-                FleetSpec(
-                    num_clients=3, num_frames=4, scheduler=True,
-                    tenants="gold:premium:2",
-                )
+            FleetSpec(
+                num_clients=3, num_frames=4, scheduler=True,
+                tenants="gold:premium:2",
             )
 
     def test_contexts_carry_tenant_and_meters_reconcile(self):
