@@ -11,18 +11,19 @@ Examples::
     python -m repro.eval.cli bench compare results/BENCH_smoke_old.json \
         results/BENCH_smoke_new.json
     python -m repro.eval.cli bench trend
-    python -m repro.eval.cli report --suite fleet --label dev --format md,html
+    python -m repro.eval.cli why fleet --scenario edf-1srv-batch --session 1
     python -m repro.eval.cli serve --scenario wifi-to-lte --fault replica-outage
     python -m repro.eval.cli list
 
-``trace`` and ``report`` share one ``--format`` convention: a
-comma-separated subset of ``table,jsonl,chrome,md,html`` (each verb
-accepts the formats it can render).  ``serve``/``bench run``/``why`` all
-take ``--list`` to print the names they accept (deterministic order,
-exit 0) without running anything.  ``bench run`` certifies the suites
-that carry a claim (``chaos``: every cell holds its SLO error budget;
-``tenants``: premium isolation under saturation) and exits 1 when the
-claim does not hold.
+``serve``/``bench run``/``why`` all take ``--list`` to print the names
+they accept (deterministic order, exit 0) without running anything.
+``bench run`` simulates each cell of a suite once and writes the BENCH
+artifact, the ops report (markdown + HTML) and the miss console from
+that one run.  It certifies the suites that carry a claim (``chaos``:
+every cell holds its SLO error budget; ``tenants``: premium isolation
+under saturation) and exits 1 when the claim does not hold or when a
+deadline miss has no cause.  ``why`` is the zoom verb: it runs only the
+selected cells and prints their waterfalls.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from pathlib import Path
 from ..chaos import FAULTS, SCENARIOS
 from ..network.channel import CHANNELS
 from ..obs import (
-    DEFAULT_SAMPLE_INTERVAL_MS,
     DEFAULT_SLO_TARGET,
     FRAME_BUDGET_MS,
     build_report,
@@ -65,7 +65,7 @@ from .experiments import (
     run_fleet,
 )
 from .reporting import Table, result_payload, save_json
-from .suites import SUITES, run_suite
+from .suites import SUITES, run_suite, suite_cells
 
 __all__ = ["main", "TRACE_BENCHES"]
 
@@ -79,38 +79,26 @@ TRACE_BENCHES = {
 }
 
 
-def _format_list(allowed: tuple[str, ...]):
-    """argparse ``type=`` factory for the shared ``--format`` flag: a
-    comma-separated subset of the formats the verb can render."""
-
-    def parse(value: str) -> list[str]:
-        formats = []
-        for part in value.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if part not in allowed:
-                raise argparse.ArgumentTypeError(
-                    f"unknown format {part!r}; choose from {','.join(allowed)}"
-                )
-            if part not in formats:
-                formats.append(part)
-        if not formats:
-            raise argparse.ArgumentTypeError("at least one format required")
-        return formats
-
-    return parse
+_TRACE_FORMATS = ("table", "jsonl", "chrome")
 
 
-def _add_format_flag(sub, allowed: tuple[str, ...], default: str) -> None:
-    sub.add_argument(
-        "--format",
-        dest="formats",
-        type=_format_list(allowed),
-        default=_format_list(allowed)(default),
-        help=f"comma-separated outputs to write (subset of {','.join(allowed)};"
-        f" default {default})",
-    )
+def _trace_formats(value: str) -> list[str]:
+    """argparse ``type=`` for ``trace --format``: a comma-separated
+    subset of the exports ``trace`` can write."""
+    formats = []
+    for part in value.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if part not in _TRACE_FORMATS:
+            raise argparse.ArgumentTypeError(
+                f"unknown format {part!r}; choose from {','.join(_TRACE_FORMATS)}"
+            )
+        if part not in formats:
+            formats.append(part)
+    if not formats:
+        raise argparse.ArgumentTypeError("at least one format required")
+    return formats
 
 
 def _print_listing(sections: dict) -> int:
@@ -372,7 +360,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_bench_run(args) -> int:
-    """Run a benchmark suite and write its BENCH artifact."""
+    """Run a benchmark suite once and write its BENCH artifact, ops
+    report and miss console."""
     if args.list_names:
         return _print_listing(
             {
@@ -380,14 +369,19 @@ def _cmd_bench_run(args) -> int:
                 for suite in sorted(SUITES)
             }
         )
-    payload = run_suite(
+    payload, observed = run_suite(
         args.suite,
         args.label,
         degrade=args.degrade,
         budget_ms=args.budget_ms,
         slo_target=args.slo_target,
     )
-    path = write_bench(payload, args.out)
+    why = build_why(payload, observed)
+    paths = [
+        write_bench(payload, args.out),
+        *write_report(build_report(payload, observed), args.out),
+        write_why(why["markdown"], args.out, args.suite, args.label),
+    ]
     table = Table(
         f"bench {args.suite} [{args.label}] — {args.budget_ms:.2f} ms budget",
         [
@@ -432,10 +426,12 @@ def _cmd_bench_run(args) -> int:
     table.print()
     if have_kernels:
         kernel_table.print()
-    print(f"wrote  {path}")
+    for path in paths:
+        print(f"wrote  {path}")
+    code = _unclassified_exit(why)
     certification = payload.get("certification")
     if certification is None:
-        return 0
+        return code
     checks = certification.get("checks", {})
     for check_name in sorted(checks):
         check = checks[check_name]
@@ -446,6 +442,15 @@ def _cmd_bench_run(args) -> int:
         print(f"NOT CERTIFIED: suite {args.suite}" + (f" ({error})" if error else ""))
         return 1
     print(f"certified: suite {args.suite}, all {len(checks)} checks hold")
+    return code
+
+
+def _unclassified_exit(why: dict) -> int:
+    """1 (after saying so) when a deadline miss has no cause, else 0:
+    an unclassified miss is a classifier hole, not data."""
+    if why["unclassified"] > 0:
+        print(f"UNCLASSIFIED: {why['unclassified']} miss(es) have no cause")
+        return 1
     return 0
 
 
@@ -476,49 +481,10 @@ def _cmd_bench_trend(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    """Run a suite observed and render the deterministic ops report."""
-    report = build_report(
-        args.suite,
-        args.label,
-        degrade=args.degrade,
-        budget_ms=args.budget_ms,
-        slo_target=args.slo_target,
-        sample_interval_ms=args.sample_interval_ms,
-    )
-    paths = write_report(report, args.out, formats=args.formats)
-    table = Table(
-        f"report {args.suite} [{args.label}] — SLO target "
-        f"{args.slo_target * 100:.1f}% miss",
-        [
-            "scenario",
-            "miss rate",
-            "budget used %",
-            "max fast burn",
-            "max slow burn",
-            "anomalies",
-        ],
-    )
-    for name in sorted(report["scenarios"]):
-        scenario = report["scenarios"][name]
-        budget = scenario["budget"]
-        table.add_row(
-            name,
-            scenario["slo"]["miss_rate"],
-            budget["consumed_fraction"] * 100.0,
-            budget["max_fast_burn_rate"],
-            budget["max_slow_burn_rate"],
-            len(scenario["anomalies"]),
-        )
-    table.print()
-    for path in paths:
-        print(f"wrote  {path}")
-    return 0
-
-
 def _cmd_why(args) -> int:
-    """Re-run a suite traced and explain every deadline miss: ranked
-    root causes per scenario plus per-frame critical-path waterfalls."""
+    """Run the selected traced cells of a suite and explain every
+    deadline miss: ranked root causes per cell plus per-frame
+    critical-path waterfalls."""
     if args.list_names:
         return _print_listing(
             {
@@ -528,14 +494,13 @@ def _cmd_why(args) -> int:
                 ),
             }
         )
-    why = build_why(
+    payload, observed = run_suite(
         args.suite,
         args.label,
-        scenario=args.scenario,
-        session=args.session,
-        frame=args.frame,
         budget_ms=args.budget_ms,
+        cells=suite_cells(args.suite, traced=True, scenario=args.scenario),
     )
+    why = build_why(payload, observed, session=args.session, frame=args.frame)
     print(why["markdown"], end="")
     table = Table(
         f"why {args.suite} [{args.label}] — miss root causes",
@@ -554,10 +519,7 @@ def _cmd_why(args) -> int:
     if args.out is not None:
         path = write_why(why["markdown"], args.out, args.suite, args.label)
         print(f"wrote  {path}")
-    if why["unclassified"] > 0:
-        print(f"UNCLASSIFIED: {why['unclassified']} miss(es) have no cause")
-        return 1
-    return 0
+    return _unclassified_exit(why)
 
 
 def _cmd_list(args) -> int:
@@ -637,8 +599,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="additionally record wall-clock span times (breaks trace diffability)",
     )
-    _add_format_flag(
-        trace_parser, ("table", "jsonl", "chrome"), "table,jsonl,chrome"
+    trace_parser.add_argument(
+        "--format",
+        dest="formats",
+        type=_trace_formats,
+        default=list(_TRACE_FORMATS),
+        help="comma-separated outputs to write (subset of table,jsonl,chrome;"
+        " default all three)",
     )
     trace_parser.set_defaults(func=_cmd_trace)
 
@@ -719,7 +686,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = bench_parser.add_subparsers(dest="bench_command", required=True)
 
     bench_run = bench_sub.add_parser(
-        "run", help="run a suite and write BENCH_<suite>_<label>.json"
+        "run",
+        help="run a suite once and write BENCH_<suite>_<label>.json,"
+        " REPORT_<suite>_<label>.md/.html and WHY_<suite>_<label>.md",
     )
     # No argparse ``choices``: unknown suites get the runner's one-line
     # error (listing what exists) instead of an argparse usage dump.
@@ -729,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"suite to run ({', '.join(sorted(SUITES))})",
     )
     bench_run.add_argument(
-        "--label", default="dev", help="artifact label (BENCH_<suite>_<label>.json)"
+        "--label", default="dev", help="artifact label (BENCH_<suite>_<label>.json etc.)"
     )
     bench_run.add_argument(
         "--out", default="results", help="output directory (default results/)"
@@ -776,51 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="report path (default <results-dir>/README.md)"
     )
     bench_trend.set_defaults(func=_cmd_bench_trend)
-
-    report_parser = subparsers.add_parser(
-        "report",
-        help="run a suite observed and render the ops report (timelines,"
-        " error budgets, session strips, anomalies)",
-    )
-    report_parser.add_argument(
-        "--suite",
-        default="fleet",
-        help=f"suite to run ({', '.join(sorted(SUITES))})",
-    )
-    report_parser.add_argument(
-        "--label", default="dev", help="report label (REPORT_<suite>_<label>.*)"
-    )
-    report_parser.add_argument(
-        "--out",
-        default="results/reports",
-        help="output directory (default results/reports/)",
-    )
-    report_parser.add_argument(
-        "--degrade",
-        type=float,
-        default=1.0,
-        help="synthetically slow the edge server by this factor",
-    )
-    report_parser.add_argument(
-        "--budget-ms",
-        type=float,
-        default=FRAME_BUDGET_MS,
-        help="per-frame deadline for SLO evaluation (default 33.33 ms = 30 fps)",
-    )
-    report_parser.add_argument(
-        "--slo-target",
-        type=float,
-        default=DEFAULT_SLO_TARGET,
-        help="error-budget miss-rate target (default %(default)s)",
-    )
-    report_parser.add_argument(
-        "--sample-interval-ms",
-        type=float,
-        default=DEFAULT_SAMPLE_INTERVAL_MS,
-        help="timeline sampling interval in simulated ms (default %(default)s)",
-    )
-    _add_format_flag(report_parser, ("md", "html"), "md,html")
-    report_parser.set_defaults(func=_cmd_report)
 
     why_parser = subparsers.add_parser(
         "why",

@@ -304,6 +304,12 @@ class FleetSpec:
     autoscale_hold_ms: float = 1000.0
     autoscale_cooldown_ms: float = 100.0
 
+    @property
+    def provisioned_servers(self) -> int:
+        """Replicas the pool is built with: ``autoscale_max`` (standbys
+        included) when autoscaling, else ``num_servers``."""
+        return self.autoscale_max if self.autoscale else self.num_servers
+
     def __post_init__(self) -> None:
         """Reject cross-field combinations the fleet cannot run, so a
         malformed spec fails at construction rather than mid-suite."""
@@ -327,7 +333,6 @@ class FleetSpec:
                 )
         if self.autoscale and not self.scheduler:
             raise ValueError("autoscaling requires the serving layer; set scheduler=True")
-        num_servers = self.autoscale_max if self.autoscale else self.num_servers
         if self.scenario is not None:
             make_scenario(self.scenario)
         faults = make_faults(self.faults)
@@ -340,11 +345,11 @@ class FleetSpec:
                 )
         for fault in faults:
             if fault.kind in ("kill_replica", "straggler") and not (
-                0 <= fault.target < num_servers
+                0 <= fault.target < self.provisioned_servers
             ):
                 raise ValueError(
                     f"fault target {fault.target} out of range for "
-                    f"{num_servers} server(s)"
+                    f"{self.provisioned_servers} server(s)"
                 )
 
 
@@ -370,7 +375,6 @@ def run_fleet(spec: FleetSpec) -> FleetOutcome:
         if spec.tenants is not None
         else None
     )
-    num_servers = spec.autoscale_max if spec.autoscale else spec.num_servers
     scenario = make_scenario(spec.scenario) if spec.scenario is not None else None
     faults = make_faults(spec.faults)
     tracer = Tracer(wall_clock=spec.trace_wall_clock) if spec.trace else NULL_TRACER
@@ -410,7 +414,7 @@ def run_fleet(spec: FleetSpec) -> FleetOutcome:
             )
         sessions.append(ClientSession(video=video, client=client, channel=channel))
 
-    servers, sampler = _edge_servers(spec, tracer, count=num_servers)
+    servers, sampler = _edge_servers(spec, tracer, count=spec.provisioned_servers)
 
     scheduler = None
     autoscaler = None

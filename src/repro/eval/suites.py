@@ -8,7 +8,10 @@ a :class:`KernelSpec` (one vectorized kernel timed against its scalar
 reference).  :func:`run_cell` runs any of them traced and folds the run
 into its BENCH scenario section; :func:`run_suite` runs a whole suite
 into the payload :mod:`repro.obs.bench` serializes, with a
-``certification`` section for the suites in :data:`CERTIFIERS`.
+``certification`` section for the suites in :data:`CERTIFIERS`, and
+hands back what it observed so the ops report
+(:func:`repro.obs.report.build_report`) and the miss console
+(:func:`repro.obs.critical.build_why`) render from the same run.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from ..obs.budget import DEFAULT_SLO_TARGET, evaluate_error_budget
 from ..obs.critical import miss_causes
 from ..obs.kernelbench import KERNEL_NAMES, run_kernel
 from ..obs.slo import FRAME_BUDGET_MS, evaluate_slo
+from ..obs.timeline import DEFAULT_SAMPLE_INTERVAL_MS
 from ..tenancy.metering import REQUEST_COUNTERS
 from .experiments import ExperimentSpec, FleetSpec, run_experiment, run_fleet
 from .reporting import SCHEMA_VERSION, result_payload
@@ -236,22 +240,28 @@ SUITES: dict[str, tuple[BenchCell, ...]] = {
 }
 
 
-def suite_cells(suite: str, traced: bool = False) -> tuple[BenchCell, ...]:
-    """The cells of ``suite``; with ``traced`` only the simulated ones.
+def suite_cells(
+    suite: str, traced: bool = False, scenario: str | None = None
+) -> tuple[BenchCell, ...]:
+    """The cells of ``suite``; with ``traced`` only the simulated ones,
+    with ``scenario`` only the cell of that name.
 
     Kernel cells are gated by ``bench compare`` alone: they leave no
-    trace to report on, and their wall-clock fields would break the
-    byte-determinism of ``report`` and ``why``.
+    trace to explain, so ``why`` skips them.
     """
     if suite not in SUITES:
         raise KeyError(
             f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}"
         )
-    return tuple(
+    cells = tuple(
         cell
         for cell in SUITES[suite]
         if not (traced and isinstance(cell.spec, KernelSpec))
+        and scenario in (None, cell.name)
     )
+    if not cells:
+        raise ValueError(f"no traceable scenario named {scenario!r} in suite {suite!r}")
+    return cells
 
 
 # Artifact ``spec`` key -> spec field.  The keys are the artifact's own
@@ -318,9 +328,8 @@ def run_cell(
     degrade: float = 1.0,
     budget_ms: float = FRAME_BUDGET_MS,
     slo_target: float = DEFAULT_SLO_TARGET,
-    sample_interval_ms: float | None = None,
 ) -> tuple[dict, dict]:
-    """Run one cell traced and return ``(payload, observed)``.
+    """Run one cell traced and sampled; return ``(payload, observed)``.
 
     ``degrade`` slows the edge server by that factor (the regression
     gate's self-test: a degraded run must make ``repro bench compare``
@@ -352,7 +361,7 @@ def run_cell(
         cell.spec,
         trace=True,
         server_latency_scale=degrade,
-        sample_interval_ms=sample_interval_ms,
+        sample_interval_ms=DEFAULT_SAMPLE_INTERVAL_MS,
     )
     if cell.slo_target is not None:
         slo_target = cell.slo_target
@@ -379,7 +388,7 @@ def run_cell(
     payload = {
         "spec": spec_section(replace(cell, spec=spec)),
         "result": (
-            _fleet_result(results, offload, duration, spec.num_servers)
+            _fleet_result(results, offload, duration, spec.provisioned_servers)
             if fleet
             else result_payload(outcome.result)
         ),
@@ -662,9 +671,17 @@ def run_suite(
     degrade: float = 1.0,
     budget_ms: float = FRAME_BUDGET_MS,
     slo_target: float = DEFAULT_SLO_TARGET,
-) -> dict:
-    """Run every cell of a named suite into one BENCH payload."""
-    cells = suite_cells(suite)
+    cells: tuple[BenchCell, ...] | None = None,
+) -> tuple[dict, dict[str, dict]]:
+    """Run every cell of a named suite (or just ``cells`` of it) once.
+
+    Returns ``(payload, observed)``: the BENCH payload, and each traced
+    cell's ``observed`` (see :func:`run_cell`) by cell name, in suite
+    order.
+    """
+    if cells is None:
+        cells = suite_cells(suite)
+    runs = {cell.name: run_cell(cell, degrade, budget_ms, slo_target) for cell in cells}
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "bench",
@@ -674,12 +691,9 @@ def run_suite(
         "slo_target": round(slo_target, 6),
         "degrade": degrade,
         "environment": environment_fingerprint(),
-        "scenarios": {
-            cell.name: run_cell(cell, degrade, budget_ms, slo_target)[0]
-            for cell in cells
-        },
+        "scenarios": {name: cell_payload for name, (cell_payload, _) in runs.items()},
     }
     certifier = CERTIFIERS.get(suite)
     if certifier is not None:
         payload["certification"] = certifier(payload)
-    return payload
+    return payload, {name: seen for name, (_, seen) in runs.items() if seen}

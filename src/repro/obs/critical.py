@@ -14,9 +14,9 @@ Built on :mod:`repro.obs.lineage`: given a traced run, every
   window -> batch-join penalty -> dominant exclusive segment).
 
 The classifier is total: every miss maps to a concrete cause, never
-``unknown`` — the acceptance bar ``repro why`` enforces with its exit
-code.  All outputs are pure functions of the simulated-clock trace, so
-re-rendering a report is byte-identical.
+``unknown`` — the acceptance bar ``repro bench run`` and ``repro why``
+enforce with their exit code.  All outputs are pure functions of the
+simulated-clock trace, so re-rendering a report is byte-identical.
 """
 
 from __future__ import annotations
@@ -296,59 +296,43 @@ def why_filename(suite: str, label: str) -> str:
 
 
 def build_why(
-    suite: str,
-    label: str = "why",
-    scenario: str | None = None,
+    payload: dict,
+    observed: dict[str, dict],
     session: int | None = None,
     frame: int | None = None,
-    budget_ms: float | None = None,
     max_waterfalls: int = 3,
 ) -> dict:
-    """Run a bench suite traced and build the ``repro why`` report.
+    """Build the ``repro why`` console from a finished suite run.
 
-    Returns ``{"markdown": str, "unclassified": int, "scenarios":
-    {name: miss_causes section}}`` — the caller turns a non-zero
+    ``payload`` and ``observed`` are what
+    :func:`repro.eval.suites.run_suite` returns; each traced cell's
+    ranked causes are its BENCH ``miss_causes`` section.  Returns
+    ``{"markdown": str, "unclassified": int, "scenarios": {name:
+    miss_causes section}}`` — the caller turns a non-zero
     ``unclassified`` into a failing exit code.
     """
-    # Imported here: the suites pull in the experiment harness, which
-    # imports this package — a module-level import would be circular.
-    from ..eval.suites import run_cell, suite_cells
-    from .slo import FRAME_BUDGET_MS
-
-    budget = FRAME_BUDGET_MS if budget_ms is None else float(budget_ms)
-    cells = [
-        cell
-        for cell in suite_cells(suite, traced=True)
-        if scenario is None or cell.name == scenario
-    ]
-    if not cells:
-        raise ValueError(
-            f"no traceable scenario named {scenario!r} in suite {suite!r}"
-        )
-
     sections: list[str] = []
     summaries: dict[str, dict] = {}
-    total_unclassified = 0
-    for cell in cells:
-        _payload, observed = run_cell(cell, budget_ms=budget)
-        tracer = observed["tracer"]
-        warmup = cell.spec.warmup_frames
-        misses = classify_misses(tracer, warmup)
-        lineages = build_lineages(tracer)
-        summary = miss_causes(tracer, budget, warmup)
-        summaries[cell.name] = summary
-        total_unclassified += summary["unclassified"]
+    for name, seen in observed.items():
+        tracer = seen["tracer"]
+        cell = payload["scenarios"][name]
+        summaries[name] = cell["miss_causes"]
         sections.extend(
             _render_scenario_section(
-                cell.name, summary, misses, lineages, session, frame,
+                name,
+                cell["miss_causes"],
+                classify_misses(tracer, cell["spec"]["warmup_frames"]),
+                build_lineages(tracer),
+                session,
+                frame,
                 max_waterfalls,
             )
         )
-
-    markdown = render_why_markdown(suite, label, budget, sections)
     return {
-        "markdown": markdown,
-        "unclassified": total_unclassified,
+        "markdown": render_why_markdown(
+            payload["suite"], payload["label"], payload["budget_ms"], sections
+        ),
+        "unclassified": sum(s["unclassified"] for s in summaries.values()),
         "scenarios": summaries,
     }
 

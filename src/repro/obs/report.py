@@ -1,4 +1,4 @@
-"""`repro report`: one run -> a deterministic markdown + HTML ops console.
+"""The ops report: one suite run -> a deterministic markdown + HTML console.
 
 The benchmark harness answers "did the numbers move"; this module
 answers "what happened during the run" in a form an operator can read:
@@ -12,25 +12,20 @@ answers "what happened during the run" in a form an operator can read:
 * **per-session state strips** reconstructing each client's
   admit/degrade/recover trajectory from the ``serve.*`` trace events;
 * the **top anomalies** (latency spikes, monotonic queue growth,
-  budget exhaustion), which are also emitted back into the run's
-  tracer as first-class ``anomaly.*`` events.
+  budget exhaustion).
 
-Both renderings are pure functions of the simulated run: no wall clock,
-no randomness, sorted iteration everywhere — two identical runs produce
-**byte-identical** ``REPORT_<suite>_<label>.md`` / ``.html`` files, so
-reports can be committed, diffed and rendered as CI artifacts.
+``repro bench run`` writes the report next to the BENCH artifact, from
+the same run.  Both renderings are pure functions of that run: no wall
+clock, no randomness, sorted iteration everywhere — two identical runs
+produce **byte-identical** ``REPORT_<suite>_<label>.md`` / ``.html``
+files, so reports can be committed, diffed and rendered as CI artifacts.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .budget import (
-    DEFAULT_SLO_TARGET,
-    detect_budget_exhaustion,
-    session_timelines,
-)
-from .slo import FRAME_BUDGET_MS
+from .budget import detect_budget_exhaustion, session_timelines
 from .timeline import (
     DEFAULT_SAMPLE_INTERVAL_MS,
     detect_latency_spikes,
@@ -62,59 +57,37 @@ SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 # ----------------------------------------------------------------------
 # Build
 # ----------------------------------------------------------------------
-def build_report(
-    suite: str,
-    label: str,
-    degrade: float = 1.0,
-    budget_ms: float = FRAME_BUDGET_MS,
-    slo_target: float = DEFAULT_SLO_TARGET,
-    sample_interval_ms: float = DEFAULT_SAMPLE_INTERVAL_MS,
-) -> dict:
-    """Run every cell of ``suite`` observed and fold the timelines,
-    budgets, session trajectories and anomalies into one report payload
-    (a superset of the BENCH scenario sections)."""
-    from ..eval.reporting import SCHEMA_VERSION
-    from ..eval.suites import run_cell, suite_cells
-    from .bench import environment_fingerprint
+def build_report(payload: dict, observed: dict[str, dict]) -> dict:
+    """Fold a finished suite run into one report payload.
 
+    ``payload`` and ``observed`` are what
+    :func:`repro.eval.suites.run_suite` returns.  Each traced cell's
+    BENCH section gains the full error budget (with its burn series),
+    its timelines, session trajectories and anomalies; kernel cells are
+    left out.
+    """
     scenarios: dict[str, dict] = {}
-    for cell in suite_cells(suite, traced=True):
-        payload, observed = run_cell(
-            cell,
-            degrade=degrade,
-            budget_ms=budget_ms,
-            slo_target=slo_target,
-            sample_interval_ms=sample_interval_ms,
-        )
-        tracer = observed["tracer"]
-        sampler = observed["sampler"]
-        duration_ms = observed["duration_ms"]
+    for name, seen in observed.items():
+        cell = payload["scenarios"][name]
+        tracer = seen["tracer"]
         anomalies = detect_latency_spikes(
-            tracer, warmup_frames=cell.spec.warmup_frames, emit=True
+            tracer, warmup_frames=cell["spec"]["warmup_frames"]
         )
-        anomalies += detect_queue_growth(sampler, tracer=tracer, emit=True)
-        anomalies += detect_budget_exhaustion(
-            observed["budget"], tracer=tracer, emit=True
-        )
+        anomalies += detect_queue_growth(seen["sampler"])
+        anomalies += detect_budget_exhaustion(seen["budget"])
         anomalies.sort(key=lambda a: (-a.get("severity", 0.0), a["ts_ms"], a["type"]))
-        scenarios[cell.name] = {
-            **payload,
-            "budget": observed["budget"],  # full form, with burn_series
-            "timeline": sampler.to_dict() if sampler is not None else None,
-            "sessions": session_timelines(tracer, duration_ms=duration_ms),
+        scenarios[name] = {
+            **cell,
+            "budget": seen["budget"],  # full form, with burn_series
+            "timeline": seen["sampler"].to_dict(),
+            "sessions": session_timelines(tracer, duration_ms=seen["duration_ms"]),
             "anomalies": anomalies,
-            "duration_ms": round(duration_ms, 6),
+            "duration_ms": round(seen["duration_ms"], 6),
         }
     return {
-        "schema_version": SCHEMA_VERSION,
+        **payload,
         "kind": "report",
-        "suite": suite,
-        "label": label,
-        "budget_ms": round(budget_ms, 6),
-        "slo_target": round(slo_target, 6),
-        "degrade": degrade,
-        "sample_interval_ms": round(sample_interval_ms, 6),
-        "environment": environment_fingerprint(),
+        "sample_interval_ms": round(DEFAULT_SAMPLE_INTERVAL_MS, 6),
         "scenarios": scenarios,
     }
 

@@ -12,6 +12,13 @@ from repro.eval.reporting import SCHEMA_VERSION
 from repro.eval import suites as suites_mod
 from repro.eval.suites import SUITES, BenchCell, run_suite, spec_section
 from repro.obs import bench as bench_mod
+from repro.obs import critical as critical_mod
+from repro.obs import (
+    build_report,
+    build_why,
+    render_report_html,
+    render_report_markdown,
+)
 from repro.obs.bench import (
     dump_bench,
     environment_fingerprint,
@@ -30,13 +37,13 @@ from repro.obs.compare import (
 
 
 @pytest.fixture(scope="module")
-def micro_payload():
-    return run_suite("micro", "base")
+def micro_payload(micro_run):
+    return micro_run[0]
 
 
 @pytest.fixture(scope="module")
 def degraded_payload():
-    return run_suite("micro", "slow", degrade=3.0)
+    return run_suite("micro", "slow", degrade=3.0)[0]
 
 
 def synthetic_payload(
@@ -175,7 +182,7 @@ class TestBenchPayload:
     def test_byte_identical_across_runs(self, micro_payload):
         # Kernel wall-clock fields are the one sanctioned source of
         # nondeterminism; everything else must match byte for byte.
-        again = run_suite("micro", "base")
+        again, _ = run_suite("micro", "t")
         assert dump_bench(strip_timing(micro_payload)) == dump_bench(
             strip_timing(again)
         )
@@ -207,7 +214,7 @@ class TestBenchPayload:
 
     def test_write_bench(self, micro_payload, tmp_path):
         path = write_bench(micro_payload, tmp_path)
-        assert path.name == "BENCH_micro_base.json"
+        assert path.name == "BENCH_micro_t.json"
         assert json.loads(path.read_text()) == json.loads(
             dump_bench(micro_payload)
         )
@@ -352,16 +359,62 @@ class TestTrend:
 
 
 class TestBenchCli:
-    def test_bench_run_writes_artifact(self, tmp_path, capsys):
+    def test_bench_run_writes_artifact(self, micro_run, monkeypatch, tmp_path, capsys):
+        """One ``bench run`` writes BENCH, REPORT md/html and WHY from a
+        single simulation of each traced cell."""
+        calls = []
+        for name in ("run_experiment", "run_fleet"):
+            real = getattr(suites_mod, name)
+
+            def counted(spec, real=real):
+                calls.append(spec)
+                return real(spec)
+
+            monkeypatch.setattr(suites_mod, name, counted)
         code = cli_main(
-            ["bench", "run", "--suite", "micro", "--label", "clitest",
+            ["bench", "run", "--suite", "micro", "--label", "t",
              "--out", str(tmp_path)]
         )
         assert code == 0
-        payload = json.loads((tmp_path / "BENCH_micro_clitest.json").read_text())
+        assert len(calls) == len(suites_mod.suite_cells("micro", traced=True)) == 1
+        payload = json.loads((tmp_path / "BENCH_micro_t.json").read_text())
         assert payload["schema_version"] == SCHEMA_VERSION
         out = capsys.readouterr().out
         assert "miss rate" in out and "wrote" in out
+        # The views are the renders of that run: byte-identical to the
+        # same renders of the shared micro run.
+        report = build_report(*micro_run)
+        assert (tmp_path / "REPORT_micro_t.md").read_text() == (
+            render_report_markdown(report)
+        )
+        assert (tmp_path / "REPORT_micro_t.html").read_text() == (
+            render_report_html(report)
+        )
+        assert (tmp_path / "WHY_micro_t.md").read_text() == (
+            build_why(*micro_run)["markdown"]
+        )
+
+    def test_bench_run_fails_on_unclassified_miss(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        real = critical_mod.classify_misses
+
+        def leaky(tracer, warmup_frames=0):
+            misses = real(tracer, warmup_frames)
+            return [{**misses[0], "cause": "unknown"}, *misses[1:]]
+
+        monkeypatch.setattr(critical_mod, "classify_misses", leaky)
+        monkeypatch.setitem(
+            suites_mod.SUITES, "leaky", (suites_mod.SUITES["micro"][0],)
+        )
+        code = cli_main(
+            ["bench", "run", "--suite", "leaky", "--label", "t",
+             "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert "UNCLASSIFIED: 1 miss(es) have no cause" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "BENCH_leaky_t.json").read_text())
+        assert payload["scenarios"]["wifi5-walk"]["miss_causes"]["unclassified"] == 1
 
     def test_bench_run_fails_on_failed_certification(
         self, monkeypatch, tmp_path, capsys

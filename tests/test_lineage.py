@@ -20,8 +20,10 @@ import json
 import pytest
 
 from repro.eval import ExperimentSpec, run_experiment
+from repro.eval import cli as cli_mod
 from repro.eval.cli import main as cli_main
 from repro.eval.experiments import FleetSpec, run_fleet
+from repro.eval.suites import suite_cells
 from repro.obs import (
     CAUSES,
     FRAME_BUDGET_MS,
@@ -275,31 +277,52 @@ class TestExportDeterminism:
 
 
 class TestWhyConsole:
-    def test_build_why_skips_kernel_cells_and_is_deterministic(self):
-        first = build_why("micro", label="t")
-        second = build_why("micro", label="t")
+    def test_build_why_skips_kernel_cells_and_is_deterministic(self, micro_run):
+        first = build_why(*micro_run)
+        second = build_why(*micro_run)
         assert first["markdown"] == second["markdown"]
         assert first["unclassified"] == 0
         # micro = 1 pipeline cell + 8 kernel cells; only the former has
         # frames to classify.
         assert list(first["scenarios"]) == ["wifi5-walk"]
+        # The ranked causes are the cell's BENCH section.
+        payload, _ = micro_run
+        assert first["scenarios"]["wifi5-walk"] == (
+            payload["scenarios"]["wifi5-walk"]["miss_causes"]
+        )
 
     def test_build_why_rejects_unknown_suite_and_scenario(self):
+        # ``why`` selects its cells through the suite registry.
         with pytest.raises(KeyError):
-            build_why("no-such-suite")
+            suite_cells("no-such-suite", traced=True)
         with pytest.raises(ValueError):
-            build_why("micro", scenario="no-such-cell")
+            suite_cells("micro", traced=True, scenario="no-such-cell")
 
-    def test_cli_why_writes_byte_stable_console(self, tmp_path, capsys):
+    def test_cli_why_writes_byte_stable_console(
+        self, micro_run, monkeypatch, tmp_path, capsys
+    ):
+        # The verb hands only the selected traced cells to the suite
+        # runner (stubbed with the shared run) and renders its console.
+        calls = []
+
+        def fake_run_suite(suite, label, **kwargs):
+            calls.append((suite, label, kwargs))
+            return micro_run
+
+        monkeypatch.setattr(cli_mod, "run_suite", fake_run_suite)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
             rc = cli_main(
-                ["why", "micro", "--label", "ci", "--out", str(out)]
+                ["why", "micro", "--label", "t", "--out", str(out)]
             )
             assert not rc
-        name = why_filename("micro", "ci")
-        assert name == "WHY_micro_ci.md"
+        assert [call[2]["cells"] for call in calls] == [
+            suite_cells("micro", traced=True)
+        ] * 2
+        name = why_filename("micro", "t")
+        assert name == "WHY_micro_t.md"
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert (out_a / name).read_text() == build_why(*micro_run)["markdown"]
         assert "wifi5-walk" in capsys.readouterr().out
 
 

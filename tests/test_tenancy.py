@@ -468,6 +468,10 @@ class TestFleetIntegration:
         assert series[0] == [0.0, 1]
         assert all(isinstance(point[1], int) for point in series)
 
+    def test_provisioned_servers_counts_standby_replicas(self):
+        assert FleetSpec(autoscale=True, autoscale_max=3).provisioned_servers == 3
+        assert FleetSpec(num_servers=2).provisioned_servers == 2
+
     def test_autoscale_emits_trace_events(self):
         spec = FleetSpec(
             **self.SPEC,
@@ -511,3 +515,16 @@ class TestTenantsBaseline:
         series = cell["autoscale"]["replica_series"]
         assert series[0] == [0.0, 1]
         assert cell["autoscale"]["scale_ups"] >= 1
+
+    def test_utilization_is_over_the_provisioned_pool(self, payload):
+        # The autoscale cell provisions autoscale_max=3 replicas; its
+        # fleet utilization is the mean over all of them, not busy time
+        # over the one num_servers names.
+        cell = payload["scenarios"]["autoscale-burst"]
+        per_server = cell["serve"]["per_server"]
+        assert len(per_server) == 3
+        utilization = cell["result"]["server_utilization"]
+        assert utilization == pytest.approx(
+            sum(s["utilization"] for s in per_server) / 3
+        )
+        assert 0.0 < utilization <= 1.0
