@@ -16,6 +16,7 @@ from repro.eval.experiments import _make_video, build_client
 from repro.model import SimulatedSegmentationModel
 from repro.network import make_channel
 from repro.runtime import ClientSession, EdgeServer, MultiClientPipeline
+from repro.serve import fifo_scheduler
 
 FLEET_SIZES = (1, 2, 4, 8)
 
@@ -47,7 +48,7 @@ def _run_fleet(size: int, num_frames: int, seed: int, use_ciia: bool = True):
             "mask_rcnn_r101", "jetson_xavier", np.random.default_rng(seed + 999)
         )
     )
-    results = MultiClientPipeline(sessions, server).run()
+    results = MultiClientPipeline(sessions, fifo_scheduler([server], size)).run()
     ious = np.concatenate([r.per_object_ious() for r in results])
     return {
         "mean_iou": float(ious.mean()) if len(ious) else 0.0,

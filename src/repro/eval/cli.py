@@ -263,7 +263,6 @@ def _cmd_serve(args) -> int:
         server_device=args.server,
         scenario=args.scenario,
         faults=args.fault,
-        scheduler=not args.fifo,
         num_servers=args.servers,
         policy=args.policy,
         queue_limit=args.queue_limit,
@@ -280,11 +279,7 @@ def _cmd_serve(args) -> int:
     slo = evaluate_slo(
         outcome.tracer, budget_ms=args.budget_ms, warmup_frames=spec.warmup_frames
     )
-    topology = (
-        "fifo (no scheduler)"
-        if args.fifo
-        else f"{spec.policy} x{spec.num_servers} server(s)"
-    )
+    topology = f"{spec.policy} x{spec.num_servers} server(s)"
     table = Table(
         f"fleet: {spec.num_clients} x {spec.system} over {spec.network} — {topology}",
         ["session", "mean IoU", "latency ms", "offloads", "KiB up"],
@@ -302,44 +297,42 @@ def _cmd_serve(args) -> int:
         )
     table.print()
 
-    serve_stats = None
-    if outcome.scheduler is not None:
-        serve_stats = outcome.scheduler.stats(outcome.duration_ms)
-        degrade = serve_stats["degrade"]
+    serve_stats = outcome.scheduler.stats(outcome.duration_ms)
+    degrade = serve_stats["degrade"]
+    print(
+        "serve:    submitted={submitted} admitted={admitted} "
+        "rejected(queue)={rejected_queue_full} "
+        "rejected(deadline)={rejected_infeasible} shed={shed} "
+        "completed={completed}".format(**serve_stats)
+    )
+    print(
+        f"degrade:  events={degrade['degrade_events']} "
+        f"recoveries={degrade['recover_events']} "
+        f"degraded_at_end={degrade['degraded_at_end']}"
+    )
+    batching = serve_stats.get("batching")
+    if batching is not None:
         print(
-            "serve:    submitted={submitted} admitted={admitted} "
-            "rejected(queue)={rejected_queue_full} "
-            "rejected(deadline)={rejected_infeasible} shed={shed} "
-            "completed={completed}".format(**serve_stats)
+            "batching: window={window_ms:g} ms max_size={max_size} "
+            "batches={batches} items={batched_items} "
+            "mean_size={mean_batch_size:.2f} "
+            "saved={batch_saved_ms:.1f} ms".format(**batching)
         )
+    for entry in serve_stats["per_server"]:
         print(
-            f"degrade:  events={degrade['degrade_events']} "
-            f"recoveries={degrade['recover_events']} "
-            f"degraded_at_end={degrade['degraded_at_end']}"
+            f"server{entry['index']}:  completed={entry['completed']} "
+            f"shed={entry['shed']} utilization={entry.get('utilization', 0.0):.3f}"
         )
-        batching = serve_stats.get("batching")
-        if batching is not None:
+    tenancy = serve_stats.get("tenancy")
+    if tenancy is not None:
+        for name, entry in tenancy["per_tenant"].items():
             print(
-                "batching: window={window_ms:g} ms max_size={max_size} "
-                "batches={batches} items={batched_items} "
-                "mean_size={mean_batch_size:.2f} "
-                "saved={batch_saved_ms:.1f} ms".format(**batching)
+                f"tenant {name} ({entry['qos']}): "
+                f"submitted={entry['submitted']} admitted={entry['admitted']} "
+                f"shed={entry['shed']} displaced={entry['displaced']} "
+                f"completed={entry['completed']} "
+                f"server_ms={entry['server_ms']:.1f}"
             )
-        for entry in serve_stats["per_server"]:
-            print(
-                f"server{entry['index']}:  completed={entry['completed']} "
-                f"shed={entry['shed']} utilization={entry.get('utilization', 0.0):.3f}"
-            )
-        tenancy = serve_stats.get("tenancy")
-        if tenancy is not None:
-            for name, entry in tenancy["per_tenant"].items():
-                print(
-                    f"tenant {name} ({entry['qos']}): "
-                    f"submitted={entry['submitted']} admitted={entry['admitted']} "
-                    f"shed={entry['shed']} displaced={entry['displaced']} "
-                    f"completed={entry['completed']} "
-                    f"server_ms={entry['server_ms']:.1f}"
-                )
     if outcome.chaos is not None and outcome.chaos.log:
         print(
             "chaos:    "
@@ -617,11 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--servers", type=int, default=1)
     serve_parser.add_argument(
         "--policy", default="edf", choices=sorted(POLICY_NAMES)
-    )
-    serve_parser.add_argument(
-        "--fifo",
-        action="store_true",
-        help="legacy topology: one bare FIFO server, no scheduler",
     )
     serve_parser.add_argument("--queue-limit", type=int, default=4)
     serve_parser.add_argument(

@@ -244,8 +244,10 @@ def run_grid(specs: list[ExperimentSpec]) -> list[ExperimentOutcome]:
 # ----------------------------------------------------------------------
 @dataclass
 class FleetSpec:
-    """A multi-client serving experiment (paper Section VI-G topology,
-    plus the ``repro.serve`` policy layer on top of it)."""
+    """A multi-client serving experiment: the paper's Section VI-G
+    topology behind a ``repro.serve`` scheduler.  The paper's own FIFO
+    deployment is ``policy=FIFO_POLICY, queue_limit=FIFO_QUEUE_LIMIT,
+    deadline_horizon=FIFO_DEADLINE_HORIZON, degrade=False``."""
 
     num_clients: int = 8
     system: str = "baseline+mamt"
@@ -256,18 +258,12 @@ class FleetSpec:
     motion_grade: str = "walk"
     server_device: str = "jetson_tx2"
     server_latency_scale: float = 1.0
-    # Serving-layer knobs.  ``scheduler=False`` reproduces the paper's
-    # bare deployment: one FIFO EdgeServer, no admission, no degradation.
-    scheduler: bool = True
+    # Serving-layer knobs.
     num_servers: int = 1
     policy: str = "edf"
     queue_limit: int = 4
     deadline_horizon: float = 12.0
     degrade: bool = True
-    degrade_failure_threshold: int = 2
-    degrade_min_ms: float = 300.0
-    degrade_recover_depth: int = 1
-    deadline_budget_ms: float | None = None
     # Cross-session batching (repro.serve.batching): a replica may hold a
     # servable request up to ``batch_window_ms`` to coalesce compatible
     # queued requests into one batch of at most ``max_batch_size``.
@@ -275,7 +271,6 @@ class FleetSpec:
     # fleet byte-for-byte.
     batch_window_ms: float = 0.0
     max_batch_size: int = 1
-    batch_alpha: float = 0.8
     warmup_frames: int = 10
     seed: int = 0
     trace: bool = False
@@ -299,10 +294,8 @@ class FleetSpec:
     autoscale_min: int = 1
     autoscale_max: int = 4
     autoscale_up_depth: float = 2.0
-    autoscale_down_depth: float = 0.0
     autoscale_warmup_ms: float = 200.0
     autoscale_hold_ms: float = 1000.0
-    autoscale_cooldown_ms: float = 100.0
 
     @property
     def provisioned_servers(self) -> int:
@@ -315,35 +308,16 @@ class FleetSpec:
         malformed spec fails at construction rather than mid-suite."""
         if self.num_clients < 1:
             raise ValueError("FleetSpec.num_clients must be >= 1")
-        if not self.scheduler and self.num_servers != 1:
-            raise ValueError(
-                "the legacy FIFO topology has exactly one server; "
-                "set scheduler=True to use num_servers > 1"
-            )
         if self.tenants is not None:
             tenancy = TenantDirectory(list(parse_tenants(self.tenants)))
-            if not self.scheduler:
-                raise ValueError(
-                    "tenancy requires the serving layer; set scheduler=True"
-                )
             if tenancy.num_sessions != self.num_clients:
                 raise ValueError(
                     f"tenant session counts sum to {tenancy.num_sessions} "
                     f"but the fleet has num_clients={self.num_clients}"
                 )
-        if self.autoscale and not self.scheduler:
-            raise ValueError("autoscaling requires the serving layer; set scheduler=True")
         if self.scenario is not None:
             make_scenario(self.scenario)
-        faults = make_faults(self.faults)
-        if faults and not self.scheduler:
-            needs_scheduler = [f.kind for f in faults if f.kind != "stall_channel"]
-            if needs_scheduler:
-                raise ValueError(
-                    f"fault kinds {needs_scheduler} act on the FleetScheduler; "
-                    "set scheduler=True to inject them"
-                )
-        for fault in faults:
+        for fault in make_faults(self.faults):
             if fault.kind in ("kill_replica", "straggler") and not (
                 0 <= fault.target < self.provisioned_servers
             ):
@@ -358,7 +332,7 @@ class FleetOutcome:
     spec: FleetSpec
     results: list[RunResult]
     sessions: list[ClientSession]
-    scheduler: FleetScheduler | None = None
+    scheduler: FleetScheduler
     tracer: Tracer | None = None
     sampler: TimelineSampler | None = None
     duration_ms: float = 0.0
@@ -368,8 +342,7 @@ class FleetOutcome:
 
 
 def run_fleet(spec: FleetSpec) -> FleetOutcome:
-    """Run ``num_clients`` sessions against the serving layer (or the
-    legacy bare FIFO server when ``spec.scheduler`` is False)."""
+    """Run ``num_clients`` sessions against the serving layer."""
     tenancy = (
         TenantDirectory(list(parse_tenants(spec.tenants)))
         if spec.tenants is not None
@@ -416,55 +389,39 @@ def run_fleet(spec: FleetSpec) -> FleetOutcome:
 
     servers, sampler = _edge_servers(spec, tracer, count=spec.provisioned_servers)
 
-    scheduler = None
+    scheduler = FleetScheduler(
+        servers,
+        policy=spec.policy,
+        admission=AdmissionConfig(
+            queue_limit=spec.queue_limit,
+            deadline_horizon=spec.deadline_horizon,
+        ),
+        degrade=DegradeConfig(enabled=spec.degrade),
+        num_sessions=spec.num_clients,
+        tracer=tracer,
+        batching=BatchConfig(
+            window_ms=spec.batch_window_ms, max_size=spec.max_batch_size
+        ),
+        tenancy=tenancy,
+    )
     autoscaler = None
-    if spec.scheduler:
-        scheduler = FleetScheduler(
-            servers,
-            policy=spec.policy,
-            admission=AdmissionConfig(
-                queue_limit=spec.queue_limit,
-                deadline_horizon=spec.deadline_horizon,
+    if spec.autoscale:
+        autoscaler = Autoscaler(
+            scheduler,
+            AutoscalerConfig(
+                min_replicas=spec.autoscale_min,
+                scale_up_depth=spec.autoscale_up_depth,
+                warmup_ms=spec.autoscale_warmup_ms,
+                scale_down_hold_ms=spec.autoscale_hold_ms,
             ),
-            degrade=DegradeConfig(
-                enabled=spec.degrade,
-                failure_threshold=spec.degrade_failure_threshold,
-                min_degraded_ms=spec.degrade_min_ms,
-                recover_depth=spec.degrade_recover_depth,
-            ),
-            num_sessions=spec.num_clients,
-            tracer=tracer,
-            batching=BatchConfig(
-                window_ms=spec.batch_window_ms,
-                max_size=spec.max_batch_size,
-                alpha=spec.batch_alpha,
-            ),
-            tenancy=tenancy,
         )
-        if spec.autoscale:
-            autoscaler = Autoscaler(
-                scheduler,
-                AutoscalerConfig(
-                    min_replicas=spec.autoscale_min,
-                    scale_up_depth=spec.autoscale_up_depth,
-                    scale_down_depth=spec.autoscale_down_depth,
-                    warmup_ms=spec.autoscale_warmup_ms,
-                    scale_down_hold_ms=spec.autoscale_hold_ms,
-                    cooldown_ms=spec.autoscale_cooldown_ms,
-                ),
-            )
-        backend = scheduler
-    else:
-        backend = servers[0]
-
     if chaos is not None:
-        chaos.bind(scheduler if scheduler is not None else backend, sessions, tracer)
+        chaos.bind(scheduler, sessions, tracer)
     pipeline = MultiClientPipeline(
         sessions,
-        backend,
+        scheduler,
         warmup_frames=spec.warmup_frames,
         tracer=tracer,
-        deadline_budget_ms=spec.deadline_budget_ms,
         sampler=sampler,
         chaos=chaos,
         autoscaler=autoscaler,

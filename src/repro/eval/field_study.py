@@ -84,6 +84,7 @@ def _run_devices(num_frames, resolution, seed, shared_server):
     from ..network.channel import make_channel
     from ..runtime.multi import ClientSession, MultiClientPipeline
     from ..runtime.pipeline import EdgeServer
+    from ..serve import fifo_scheduler
     from .experiments import _make_video, build_client
 
     sessions = []
@@ -107,7 +108,8 @@ def _run_devices(num_frames, resolution, seed, shared_server):
             "mask_rcnn_r101", "jetson_xavier", np.random.default_rng(seed + 999)
         )
     )
-    run_results = MultiClientPipeline(sessions, server).run()
+    scheduler = fifo_scheduler([server], num_sessions=len(sessions))
+    run_results = MultiClientPipeline(sessions, scheduler).run()
     return {device.device_id: run_results[i] for i, device in enumerate(_fleet())}
 
 

@@ -25,6 +25,7 @@ from ..obs.critical import miss_causes
 from ..obs.kernelbench import KERNEL_NAMES, run_kernel
 from ..obs.slo import FRAME_BUDGET_MS, evaluate_slo
 from ..obs.timeline import DEFAULT_SAMPLE_INTERVAL_MS
+from ..serve import FIFO_DEADLINE_HORIZON, FIFO_POLICY, FIFO_QUEUE_LIMIT
 from ..tenancy.metering import REQUEST_COUNTERS
 from .experiments import ExperimentSpec, FleetSpec, run_experiment, run_fleet
 from .reporting import SCHEMA_VERSION, result_payload
@@ -126,8 +127,17 @@ SUITES: dict[str, tuple[BenchCell, ...]] = {
     # FleetSpec's defaults are the fleet suite's shape: 8 baseline+mamt
     # clients, 60 frames at 160x120, 10 warm-up frames.
     "fleet": (
-        # The paper's deployment: 8 clients, one FIFO server, no policy.
-        BenchCell("fifo-1srv", FleetSpec(scheduler=False)),
+        # The paper's deployment: 8 clients, one FIFO server, nothing
+        # rejected, shed or degraded.
+        BenchCell(
+            "fifo-1srv",
+            FleetSpec(
+                policy=FIFO_POLICY,
+                queue_limit=FIFO_QUEUE_LIMIT,
+                deadline_horizon=FIFO_DEADLINE_HORIZON,
+                degrade=False,
+            ),
+        ),
         # Deadline-aware EDF with bounded queues + MAMT-fallback degrade:
         # must beat fifo-1srv on frame-deadline miss rate.
         BenchCell(
@@ -281,7 +291,6 @@ _SPEC_KEYS = {
 _FLEET_KEYS = {
     "num_clients": "num_clients",
     "num_servers": "num_servers",
-    "scheduler": "scheduler",
     "policy": "policy",
     "queue_limit": "queue_limit",
     "deadline_horizon": "deadline_horizon",
@@ -312,8 +321,6 @@ def spec_section(cell: BenchCell) -> dict:
     section = {key: getattr(spec, field) for key, field in keys.items()}
     section["resolution"] = list(spec.resolution)
     if fleet:
-        if not spec.scheduler:
-            section["policy"] = "fifo"
         if spec.scenario is not None:
             # The scenario registry owns the channel choice.
             section["network"] = make_scenario(spec.scenario).network
@@ -399,10 +406,7 @@ def run_cell(
         "offload": {**offload, "counters": dict(sorted(counters.items()))},
     }
     if fleet:
-        if spec.scheduler:
-            payload["serve"] = {"scheduler": True, **outcome.scheduler.stats(duration)}
-        else:
-            payload["serve"] = {"scheduler": False, "policy": "fifo", "num_servers": 1}
+        payload["serve"] = outcome.scheduler.stats(duration)
         if spec.scenario is not None:
             payload["chaos"] = {
                 "scenario": spec.scenario,

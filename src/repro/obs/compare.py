@@ -105,7 +105,7 @@ def policy_for(path: str) -> MetricPolicy | None:
 def iter_metric_paths(payload: dict):
     """Yield ``(path, value)`` for every gated metric of a BENCH payload.
 
-    Paths look like ``wifi5-walk.stages.server/server.infer.p50_ms`` —
+    Paths look like ``wifi5-walk.stages.server0/server.infer.p50_ms`` —
     the scenario and stage names ride along so a regression report names
     the stage that regressed.
     """

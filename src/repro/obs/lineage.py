@@ -48,12 +48,11 @@ SEGMENT_ORDER = (
 
 
 def server_index_for_lane(lane: str) -> int:
-    """Replica index encoded in a server lane name (``server`` -> 0,
-    ``server3`` -> 3); -1 for non-server lanes."""
+    """Replica index encoded in a server lane name (``server3`` -> 3);
+    -1 for non-server lanes."""
     if not lane.startswith("server"):
         return -1
-    suffix = lane[len("server"):]
-    return int(suffix) if suffix else 0
+    return int(lane[len("server"):])
 
 
 @dataclass

@@ -187,7 +187,7 @@ def render_report_markdown(report: dict, top_anomalies: int = 10) -> str:
     lines = [
         f"# Ops report — {report['suite']} [{report['label']}]",
         "",
-        "*Generated by `python -m repro.eval.cli report` from a fully"
+        "*Generated by `python -m repro.eval.cli bench run` from a fully"
         " deterministic simulated run — two runs with the same seed are"
         " byte-identical.*",
         "",
@@ -212,9 +212,8 @@ def _scenario_markdown(name: str, scenario: dict, top_anomalies: int) -> list[st
     lines = [f"## Scenario `{name}`", ""]
     topology = ""
     if "num_clients" in spec:
-        policy = spec.get("policy", "fifo")
         topology = (
-            f", {spec['num_clients']} clients, {policy}"
+            f", {spec['num_clients']} clients, {spec['policy']}"
             f" x{spec.get('num_servers', 1)} server(s)"
         )
     lines.append(
@@ -427,7 +426,7 @@ def render_report_html(report: dict, top_anomalies: int = 10) -> str:
         f"<title>Ops report — {report['suite']} [{report['label']}]</title>",
         f"<style>{_CSS}</style></head><body>",
         f"<h1>Ops report — {report['suite']} [{report['label']}]</h1>",
-        '<p class="meta">Generated by <code>repro report</code> from a'
+        '<p class="meta">Generated by <code>repro bench run</code> from a'
         " deterministic simulated run. Frame budget"
         f" {_fmt(report['budget_ms'])} ms · SLO target"
         f" {_fmt(report['slo_target'] * 100.0, 1)}% miss · sample interval"

@@ -4,23 +4,19 @@ The paper measures one device against one edge (Fig 9/11) and eight
 devices sharing one Jetson AGX Xavier (Section VI-G); both follow the same
 per-frame timeline (deliver finished results, run the client turn,
 offload, score what is on screen).  :class:`MultiClientPipeline` is the
-only implementation of that timeline.  A single-client
-:class:`~repro.runtime.pipeline.Pipeline` run is its one-session case
-against a bare server, traced on the unindexed ``client``/``channel``
-lanes.  The loop interleaves any number of (video, client, channel)
-sessions against either
+only implementation of that timeline, and a
+:class:`~repro.serve.scheduler.FleetScheduler` is the only way it reaches
+inference.  The paper's deployment is the scheduler's FIFO configuration
+(:func:`~repro.serve.scheduler.fifo_scheduler`); the ``repro.serve``
+policy layer adds N replicas, pluggable placement, bounded
+deadline-checked admission, shedding and MAMT-fallback degradation (see
+``docs/serving.md``).  A single-client
+:class:`~repro.runtime.pipeline.Pipeline` run is the one-session case
+against a FIFO scheduler of one replica, traced on the unindexed
+``client``/``channel`` lanes.
 
-* one bare :class:`~repro.runtime.pipeline.EdgeServer` — the paper's
-  deployment topology: a single-inference-at-a-time FIFO queue, unbounded
-  and deadline-blind; or
-* a :class:`~repro.serve.scheduler.FleetScheduler` — the ``repro.serve``
-  policy layer: N server replicas, pluggable placement, bounded
-  deadline-checked admission, shedding, and MAMT-fallback degradation
-  (see ``docs/serving.md``).
-
-Either way the pipeline owns the frame clock and the channels; the
-scheduler path routes every offload through admission and hands back
-completions/sheds at each tick.
+The pipeline owns the frame clock and the channels: every offload goes
+through admission, and each tick hands back completions/sheds.
 """
 
 from __future__ import annotations
@@ -70,7 +66,7 @@ class MultiClientPipeline:
     def __init__(
         self,
         sessions: list[ClientSession],
-        server,
+        scheduler,
         warmup_frames: int = 45,
         min_gt_area: int = 200,
         tracer: Tracer | None = None,
@@ -92,19 +88,15 @@ class MultiClientPipeline:
                 "mixed-fps fleet would mis-time every session but the first"
             )
         self.sessions = sessions
-        # ``server`` is either a bare EdgeServer (the paper's FIFO
-        # topology) or a repro.serve FleetScheduler (duck-typed: anything
-        # with submit/advance/stats is treated as a scheduler).  Both
-        # expose busy_ms_total, is_free_at and attach_tracer.
-        self.backend = server
-        self.scheduler = server if hasattr(server, "advance") else None
+        # A repro.serve FleetScheduler.
+        self.scheduler = scheduler
         self.warmup_frames = warmup_frames
         self.min_gt_area = min_gt_area
         # Per-frame display deadline; None = one frame interval.
         self.deadline_budget_ms = deadline_budget_ms
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if self.tracer.enabled and not server.tracer.enabled:
-            server.attach_tracer(self.tracer)
+        if self.tracer.enabled and not scheduler.tracer.enabled:
+            scheduler.attach_tracer(self.tracer)
         # Optional repro.obs.timeline.TimelineSampler, ticked once per
         # frame tick so fleet gauges become fixed-interval time series.
         self.sampler = sampler
@@ -116,24 +108,22 @@ class MultiClientPipeline:
         self.autoscaler = autoscaler
         # Tenant attribution for contexts minted on the client lanes
         # (the scheduler stamps its own); None outside tenancy runs.
-        directory = getattr(self.scheduler, "tenancy", None)
+        directory = scheduler.tenancy
         self._tenant_of = (
             directory.tenant_of if directory is not None else lambda index: None
         )
-        # The scheduler's per-tenant meter (downlink bytes are only
-        # known here, after the result is encoded for delivery).
-        self._meter = getattr(self.scheduler, "meter", None)
         # Same instrument names as the single-client pipeline, by
         # construction (one shared registration helper).
         self.pm = PipelineMetrics.register(self.tracer.metrics)
         self._latency_ewma: float | None = None
-        # One client+channel lane pair per device, one shared server lane.
+        # One client+channel lane pair per device; replicas trace on
+        # server<i>.
         for index, session in enumerate(self.sessions):
             if session.client_lane is None:
                 session.client_lane = f"client{index}"
             if session.channel_lane is None:
                 session.channel_lane = f"channel{index}"
-        # Last offload-mode pushed to each client (scheduler path only).
+        # Last offload-mode pushed to each client.
         self._offload_enabled = [True] * len(self.sessions)
         self._frame_interval = 1000.0 / self.sessions[0].video.fps
 
@@ -155,8 +145,7 @@ class MultiClientPipeline:
                 self.chaos.tick(now)
             if self.autoscaler is not None:
                 self.autoscaler.tick(now)
-            if self.scheduler is not None:
-                self._service_scheduler(now)
+            self._service_scheduler(now)
             for session_index, session in enumerate(self.sessions):
                 self._step_session(
                     session, session_index, frame_index, now, frame_interval
@@ -168,6 +157,7 @@ class MultiClientPipeline:
                 self.sampler.tick(now)
 
         duration = num_frames * frame_interval
+        busy_ms = self.scheduler.busy_ms_until(duration)
         return [
             RunResult(
                 system=session.client.name,
@@ -176,7 +166,7 @@ class MultiClientPipeline:
                 offload_count=session.offload_count,
                 bytes_up=session.channel.bytes_up,
                 bytes_down=session.channel.bytes_down,
-                server_busy_ms=self.backend.busy_ms_total,
+                server_busy_ms=busy_ms,
                 duration_ms=duration,
             )
             for session in self.sessions
@@ -196,18 +186,7 @@ class MultiClientPipeline:
                     session, outcome.item.frame_index, now
                 )
                 continue
-            result_bytes = self._send_result(
-                session,
-                outcome.item.frame_index,
-                outcome.masks,
-                outcome.completion_ms,
-                outcome.item.ctx,
-                server=outcome.server_index,
-            )
-            if self._meter is not None and outcome.item.tenant is not None:
-                self._meter.add(
-                    outcome.item.tenant, "bytes_down", float(result_bytes)
-                )
+            self._send_result(session, outcome)
 
         for index, session in enumerate(self.sessions):
             enabled = not self.scheduler.is_degraded(index)
@@ -386,60 +365,54 @@ class MultiClientPipeline:
                 dur_ms=uplink,
                 ctx=ctx,
                 payload_bytes=int(request.payload_bytes),
-                server_free_on_arrival=self.backend.is_free_at(arrive),
+                server_free_on_arrival=self.scheduler.is_free_at(arrive),
                 **_channel_transfer_attrs(session.channel),
             )
 
-        if self.scheduler is not None:
-            budget_ms = (
-                self.deadline_budget_ms
-                if self.deadline_budget_ms is not None
-                else self._frame_interval
-            )
-            admitted, _status = self.scheduler.submit(
-                session_index,
-                request,
-                truth.masks,
-                frame.shape,
-                send_time_ms,
-                arrive,
-                budget_ms,
-                now,
-            )
-            if not admitted:
-                self._notify_offload_failed(session, request.frame_index, now)
-            return
-
-        completion, detections = self.backend.submit(
-            request, truth.masks, frame.shape, arrive, ctx=ctx
+        budget_ms = (
+            self.deadline_budget_ms
+            if self.deadline_budget_ms is not None
+            else self._frame_interval
         )
-        self._send_result(session, request.frame_index, detections, completion, ctx)
+        admitted, _status = self.scheduler.submit(
+            session_index,
+            request,
+            truth.masks,
+            frame.shape,
+            send_time_ms,
+            arrive,
+            budget_ms,
+            now,
+        )
+        if not admitted:
+            self._notify_offload_failed(session, request.frame_index, now)
 
-    def _send_result(
-        self, session, frame_index, masks, completion_ms, ctx, **attrs
-    ) -> int:
-        """Ship a finished result down the session's channel and queue its
-        delivery; returns the result's size in bytes."""
+    def _send_result(self, session, outcome) -> None:
+        """Ship a completed result down the session's channel, queue its
+        delivery, and meter its bytes to the owning tenant (downlink
+        bytes are only known here, once the result is encoded)."""
+        item, masks, completion_ms = outcome.item, outcome.masks, outcome.completion_ms
         result_bytes = encoded_size_bytes(masks) + RESULT_HEADER_BYTES
         downlink = session.channel.downlink_ms(result_bytes, now_ms=completion_ms)
         if self.tracer.enabled:
             self.tracer.add_span(
                 "channel.downlink",
                 lane=session.channel_lane,
-                frame=frame_index,
+                frame=item.frame_index,
                 start_ms=completion_ms,
                 dur_ms=downlink,
-                ctx=ctx,
+                ctx=item.ctx,
                 payload_bytes=int(result_bytes),
                 num_masks=len(masks),
-                **attrs,
+                server=outcome.server_index,
                 **_channel_transfer_attrs(session.channel),
             )
         session.pending.append(
             _PendingDelivery(
                 arrive_ms=completion_ms + downlink,
-                frame_index=frame_index,
+                frame_index=item.frame_index,
                 masks=masks,
             )
         )
-        return result_bytes
+        if item.tenant is not None:
+            self.scheduler.meter.add(item.tenant, "bytes_down", float(result_bytes))

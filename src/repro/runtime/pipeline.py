@@ -3,7 +3,9 @@
 This module holds the edge server, the per-frame and per-run result
 types, and :class:`Pipeline`, the single-client entry point.  The frame
 loop itself lives in :mod:`repro.runtime.multi`; a single-client run is
-its one-session case.  Timeline per captured frame (camera at ``fps``):
+its one-session case against the FIFO scheduler of one replica
+(:func:`repro.serve.scheduler.fifo_scheduler`).  Timeline per captured
+frame (camera at ``fps``):
 
 1. pending edge results whose downlink completed are delivered;
 2. if the client is free, it processes the frame (tracker / VO / local
@@ -12,8 +14,8 @@ its one-session case.  Timeline per captured frame (camera at ``fps``):
    are re-rendered (that is the paper's "latency accumulates and results in
    a delayed mask rendering");
 3. an offload is encoded, shipped over the channel, queued on the edge
-   (one inference at a time), run through the simulated model and shipped
-   back.
+   (one inference at a time, in arrival order), run through the simulated
+   model and shipped back.
 
 Per-frame metrics record the IoU of whatever was on screen against the
 frame's ground truth — the exact quantity behind every accuracy figure in
@@ -207,8 +209,8 @@ class EdgeServer:
         # flips this mid-run (1.0 = exact pre-chaos latency, since
         # ``x * 1.0 == x`` for every finite float).
         self.latency_scale = 1.0
-        # Trace lane; a ServerPool renames its replicas server0..serverN.
-        self.lane = "server"
+        # Trace lane; a ServerPool names its replicas server0..serverN.
+        self.lane = "server0"
         self.attach_tracer(tracer if tracer is not None else NULL_TRACER)
 
     def attach_tracer(self, tracer: Tracer) -> None:
@@ -276,7 +278,8 @@ class EdgeServer:
         arrive_ms: float,
         ctx: RequestContext | None = None,
     ) -> tuple[float, list[InstanceMask]]:
-        """Run inference; returns (completion time ms, detections)."""
+        """Serve one request alone (the scheduler's unbatched dispatch);
+        returns (completion time ms, detections)."""
         start = max(arrive_ms, self.free_at_ms)
         tracer = self.tracer
         if tracer.enabled:
@@ -427,8 +430,9 @@ class Pipeline:
     """Drives one client system over one video through one channel.
 
     The run is the one-session case of the fleet frame loop
-    (:class:`~repro.runtime.multi.MultiClientPipeline`) against ``server``,
-    traced on the unindexed ``client``/``channel`` lanes.
+    (:class:`~repro.runtime.multi.MultiClientPipeline`) against the FIFO
+    scheduler of one replica, ``server`` (its lane ``server0``), traced
+    on the unindexed ``client``/``channel`` lanes.
     """
 
     def __init__(
@@ -443,7 +447,9 @@ class Pipeline:
         deadline_budget_ms: float | None = None,
         sampler=None,
     ):
-        # Imported here: the fleet loop builds on this module's types.
+        # Imported here: the fleet loop and the scheduler build on this
+        # module's types.
+        from ..serve.scheduler import fifo_scheduler
         from .multi import ClientSession, MultiClientPipeline
 
         self.session = ClientSession(
@@ -453,9 +459,10 @@ class Pipeline:
             client_lane="client",
             channel_lane="channel",
         )
+        self.scheduler = fifo_scheduler([server], num_sessions=1, tracer=tracer)
         self._fleet = MultiClientPipeline(
             [self.session],
-            server,
+            self.scheduler,
             warmup_frames=warmup_frames,
             min_gt_area=min_gt_area,
             tracer=tracer,

@@ -24,12 +24,16 @@ from .policy import (
     make_policy,
 )
 from .scheduler import (
+    FIFO_DEADLINE_HORIZON,
+    FIFO_POLICY,
+    FIFO_QUEUE_LIMIT,
     REJECT_NO_REPLICA,
     FleetScheduler,
     ServeItem,
     ServeOutcome,
     ServerPool,
     ServerReplica,
+    fifo_scheduler,
 )
 
 __all__ = [
@@ -37,6 +41,9 @@ __all__ = [
     "REJECT_INFEASIBLE",
     "REJECT_QUEUE_FULL",
     "REJECT_NO_REPLICA",
+    "FIFO_POLICY",
+    "FIFO_QUEUE_LIMIT",
+    "FIFO_DEADLINE_HORIZON",
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionDecision",
@@ -56,4 +63,5 @@ __all__ = [
     "ServeOutcome",
     "ServerPool",
     "ServerReplica",
+    "fifo_scheduler",
 ]

@@ -3,9 +3,12 @@
 Every offload request carries a hard deadline — the last simulated
 moment its result can still influence a displayed frame, derived from
 the pipeline's ``deadline_budget_ms`` (one frame interval by default)
-times a usefulness horizon measured in frame budgets.  The controller
-turns the unbounded FIFO of the bare shared-server deployment into a
-bounded, deadline-checked queue:
+times a usefulness horizon measured in frame budgets.  The paper's
+deployment is one unbounded, deadline-blind FIFO queue; the scheduler's
+FIFO configuration (:func:`repro.serve.scheduler.fifo_scheduler`) sets
+the bound and the horizon beyond reach, so this controller admits
+everything.  Otherwise the controller keeps a bounded, deadline-checked
+queue:
 
 * **queue bound** — a replica never holds more than ``queue_limit``
   waiting requests; an arrival that finds the queue full is *rejected*

@@ -12,7 +12,8 @@ keeps converging on:
 
 * ``round_robin`` — placement ignores load entirely (the classic
   strawman, and the right thing when replicas are identical and requests
-  uniform);
+  uniform); its FIFO service order makes it the policy of the paper's
+  deployment (``FIFO_POLICY``);
 * ``least_queue`` — place on the replica with the smallest backlog
   (queue length, then estimated backlog milliseconds);
 * ``edf`` — deadline-aware: place on the replica with the earliest

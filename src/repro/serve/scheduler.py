@@ -1,9 +1,11 @@
-"""`repro.serve` — deadline-aware scheduling for a fleet of edge servers.
+"""`repro.serve` — the one server topology: a scheduled fleet of edge servers.
 
-The bare shared deployment (:class:`~repro.runtime.multi.MultiClientPipeline`
-over one :class:`~repro.runtime.pipeline.EdgeServer`) is FIFO, unbounded
-and deadline-blind.  This module adds the policy layer between clients
-and inference:
+Every run, single-client or fleet, reaches inference through a
+:class:`FleetScheduler`.  The paper's deployment (one device against one
+edge in Fig 9/11, eight devices sharing one Xavier in Section VI-G) is
+its FIFO configuration (:func:`fifo_scheduler`): submission-order
+service, no effective queue bound or deadline, no degradation.  The
+policy layer on top of the same loop:
 
 * :class:`ServerPool` — N ``EdgeServer`` replicas behind a pluggable
   placement policy (:mod:`repro.serve.policy`), each with its own
@@ -17,7 +19,9 @@ and inference:
 The scheduler runs on the pipeline's simulated clock.  Queues drain at
 frame ticks: a pick is committed only once the simulated pick time is in
 the past, so requests dispatched later in the run can never retroactively
-jump a queue — two identical runs produce byte-identical schedules.
+jump a queue — two identical runs produce byte-identical schedules.  Work
+still queued after the last tick is never served: its result could not
+reach any frame.
 """
 
 from __future__ import annotations
@@ -42,17 +46,31 @@ from .degrade import DegradeConfig, DegradeManager
 from .policy import SchedulingPolicy, make_policy
 
 __all__ = [
+    "FIFO_DEADLINE_HORIZON",
+    "FIFO_POLICY",
+    "FIFO_QUEUE_LIMIT",
     "REJECT_NO_REPLICA",
     "ServeItem",
     "ServeOutcome",
     "ServerReplica",
     "ServerPool",
     "FleetScheduler",
+    "fifo_scheduler",
 ]
 
 # Submit status when every replica is dead (chaos kill_replica): nothing
 # can be placed, so the client is bounced straight to MAMT fallback.
 REJECT_NO_REPLICA = "reject-no-replica"
+
+# The paper's deployment as a scheduler configuration: one FIFO queue in
+# front of each GPU, unbounded and deadline-blind.  ``round_robin``
+# serves in submission order (service key ``seq``); the queue bound and
+# the deadline horizon (in frame budgets) are finite, so BENCH JSON stays
+# free of Infinity, yet far beyond anything a run can queue or wait, so
+# nothing is ever rejected or shed.  Degradation is off.
+FIFO_POLICY = "round_robin"
+FIFO_QUEUE_LIMIT = 10**9
+FIFO_DEADLINE_HORIZON = 1e9
 
 
 @dataclass
@@ -132,6 +150,13 @@ class ServerReplica:
             return self.est_infer_ms
         size = self.batching.max_size
         return self.est_batch_ms(size) / size
+
+    def busy_ms_until(self, t_ms: float) -> float:
+        """Service time spent by ``t_ms``: the total minus the tail of
+        the one service (or batch) still running past ``t_ms`` — picks
+        are committed only at ticks, so no later service has started."""
+        server = self.server
+        return server.busy_ms_total - max(0.0, server.free_at_ms - t_ms)
 
     def backlog_ms(self, now_ms: float) -> float:
         """Estimated work between now and this replica going idle.
@@ -309,6 +334,9 @@ class FleetScheduler:
     @property
     def busy_ms_total(self) -> float:
         return self.pool.busy_ms_total
+
+    def busy_ms_until(self, t_ms: float) -> float:
+        return sum(replica.busy_ms_until(t_ms) for replica in self.pool.replicas)
 
     def is_free_at(self, now_ms: float) -> bool:
         return self.pool.is_free_at(now_ms)
@@ -543,7 +571,7 @@ class FleetScheduler:
             self._g_shed_rate.set(self.counts["shed"] / self.counts["submitted"])
         if now_ms > 0.0:
             for replica, gauge in zip(self.pool.replicas, self._g_utilization):
-                gauge.set(replica.server.busy_ms_total / now_ms)
+                gauge.set(replica.busy_ms_until(now_ms) / now_ms)
 
         recovered = self.degrade.maybe_recover(now_ms, depth)
         if recovered is not None:
@@ -905,7 +933,7 @@ class FleetScheduler:
                 entry["batched_items"] = replica.batched_items
             if duration_ms:
                 entry["utilization"] = round(
-                    replica.server.busy_ms_total / duration_ms, 6
+                    replica.busy_ms_until(duration_ms) / duration_ms, 6
                 )
             per_server.append(entry)
         submitted = self.counts["submitted"]
@@ -957,3 +985,22 @@ class FleetScheduler:
                 else 0.0,
             }
         return out
+
+
+def fifo_scheduler(
+    servers: list[EdgeServer],
+    num_sessions: int,
+    tracer: Tracer | None = None,
+) -> FleetScheduler:
+    """The paper's deployment over ``servers``: FIFO service, nothing
+    rejected, shed or degraded (see ``FIFO_POLICY``)."""
+    return FleetScheduler(
+        servers,
+        policy=FIFO_POLICY,
+        admission=AdmissionConfig(
+            queue_limit=FIFO_QUEUE_LIMIT, deadline_horizon=FIFO_DEADLINE_HORIZON
+        ),
+        degrade=DegradeConfig(enabled=False),
+        num_sessions=num_sessions,
+        tracer=tracer,
+    )

@@ -137,7 +137,7 @@ class TestBenchPayload:
         assert scenario["result"]["schema_version"] == SCHEMA_VERSION
         assert 0.0 < scenario["result"]["mean_iou"] <= 1.0
         stages = scenario["stages"]
-        assert "server/server.infer" in stages
+        assert "server0/server.infer" in stages
         assert "client/client.process" in stages
         for stats in stages.values():
             assert stats["p50_ms"] <= stats["p90_ms"] <= stats["p99_ms"]
@@ -325,7 +325,7 @@ class TestDegradeGate:
         self, micro_payload, degraded_payload
     ):
         report = compare_payloads(micro_payload, degraded_payload)
-        assert any("server/server.infer" in p for p in report["regressed"])
+        assert any("server0/server.infer" in p for p in report["regressed"])
 
     def test_self_compare_passes(self, micro_payload):
         assert compare_payloads(micro_payload, micro_payload)["regressed"] == []

@@ -237,12 +237,6 @@ class TestInjector:
 
 
 class TestFleetFaultPlumbing:
-    def test_server_fault_requires_scheduler(self):
-        with pytest.raises(ValueError, match="scheduler=True"):
-            FleetSpec(
-                num_clients=1, num_frames=2, scheduler=False, faults="replica-outage"
-            )
-
     def test_fault_target_out_of_range(self, monkeypatch):
         import repro.eval.experiments as exp
 

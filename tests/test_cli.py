@@ -60,7 +60,6 @@ class TestServeCommand:
         assert args.clients == 8
         assert args.policy == "edf"
         assert args.frames == 60
-        assert not args.fifo
 
     def test_unknown_policy_rejected(self):
         parser = build_parser()
@@ -89,12 +88,6 @@ class TestServeCommand:
         assert 0.0 <= payload["slo"]["miss_rate"] <= 1.0
         out = capsys.readouterr().out
         assert "fleet SLO" in out and "serve:" in out
-
-    def test_serve_fifo_topology(self, capsys):
-        code = main(["serve", "--clients", "2", "--frames", "15", "--fifo"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fifo (no scheduler)" in out
 
 
 class TestResultPayloadSchema:

@@ -208,7 +208,7 @@ class TestPipelineTracing:
 
     def test_lanes_and_offload_reasons(self):
         tracer = run_experiment(traced_spec()).tracer
-        assert set(tracer.lanes()) == {"client", "channel", "server"}
+        assert set(tracer.lanes()) == {"client", "channel", "server0", "serve"}
         reasons = {
             event.attrs["reason"]
             for event in tracer.events
@@ -258,7 +258,7 @@ class TestPipelineTracing:
         assert counters["model.anchors_evaluated"] > 0
         infer_spans = [s for s in tracer.spans if s.name == "server.infer"]
         assert infer_spans
-        assert all(s.lane == "server" for s in infer_spans)
+        assert all(s.lane == "server0" for s in infer_spans)
         assert all("anchors_evaluated" in s.attrs for s in infer_spans)
         queue_events = [e for e in tracer.events if e.name == "server.queue_enter"]
         assert queue_events
@@ -294,7 +294,7 @@ class TestExporters:
             for e in events
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
-        assert lanes == {"client", "channel", "server"}
+        assert lanes == {"client", "channel", "server0", "serve"}
         complete = [e for e in events if e["ph"] == "X"]
         assert complete
         assert all(e["dur"] >= 0 and e["ts"] >= 0 for e in complete)
@@ -328,6 +328,7 @@ class TestMultiClientTracing:
         from repro.model import SimulatedSegmentationModel
         from repro.network import make_channel
         from repro.runtime import ClientSession, EdgeServer, MultiClientPipeline
+        from repro.serve import fifo_scheduler
         from repro.synthetic import make_dataset
 
         tracer = Tracer()
@@ -347,12 +348,12 @@ class TestMultiClientTracing:
             SimulatedSegmentationModel(rng=np.random.default_rng(7))
         )
         results = MultiClientPipeline(
-            sessions, server, warmup_frames=5, tracer=tracer
+            sessions, fifo_scheduler([server], 2), warmup_frames=5, tracer=tracer
         ).run()
         assert len(results) == 2
         lanes = set(tracer.lanes())
         assert {"client0", "client1"} <= lanes
-        assert "server" in lanes  # shared lane wired via attach_tracer
+        assert "server0" in lanes  # shared lane wired via attach_tracer
 
 
 class TestHistogramPercentile:

@@ -8,6 +8,7 @@ from repro.model import SimulatedSegmentationModel
 from repro.network import make_channel
 from repro.obs.trace import Tracer
 from repro.runtime import ClientSession, EdgeServer, MultiClientPipeline, Pipeline
+from repro.serve import fifo_scheduler
 
 
 def make_sessions(count, system="edge_best_effort", frames=40, resolution=(160, 120)):
@@ -33,6 +34,10 @@ def make_server():
     )
 
 
+def make_scheduler(num_sessions):
+    return fifo_scheduler([make_server()], num_sessions)
+
+
 def _run_one(system, fleet, frames=60, seed=3):
     """One traced single-client run, through Pipeline or a fleet of one."""
     spec = ExperimentSpec(
@@ -49,7 +54,7 @@ def _run_one(system, fleet, frames=60, seed=3):
     if fleet:
         session = ClientSession(video=video, client=client, channel=channel)
         pipeline = MultiClientPipeline(
-            [session], make_server(), warmup_frames=10, tracer=tracer
+            [session], make_scheduler(1), warmup_frames=10, tracer=tracer
         )
         return pipeline.run()[0], tracer
     pipeline = Pipeline(
@@ -61,29 +66,31 @@ def _run_one(system, fleet, frames=60, seed=3):
 class TestMultiClientPipeline:
     def test_requires_sessions(self):
         with pytest.raises(ValueError):
-            MultiClientPipeline([], make_server())
+            MultiClientPipeline([], make_scheduler(1))
 
     def test_mismatched_lengths_rejected(self):
         sessions = make_sessions(1, frames=30) + make_sessions(1, frames=40)
         with pytest.raises(ValueError):
-            MultiClientPipeline(sessions, make_server())
+            MultiClientPipeline(sessions, make_scheduler(2))
 
     def test_mismatched_fps_rejected(self):
         sessions = make_sessions(2, frames=30)
         sessions[1].video.fps = 60.0
         with pytest.raises(ValueError, match="same fps"):
-            MultiClientPipeline(sessions, make_server())
+            MultiClientPipeline(sessions, make_scheduler(2))
 
     def test_per_session_results(self):
         sessions = make_sessions(2, frames=40)
-        results = MultiClientPipeline(sessions, make_server(), warmup_frames=10).run()
+        results = MultiClientPipeline(
+            sessions, make_scheduler(2), warmup_frames=10
+        ).run()
         assert len(results) == 2
         for result in results:
             assert len(result.frames) == 40
             assert result.offload_count >= 1
 
     def test_single_session_matches_pipeline_shape(self):
-        # A fleet of one over a bare EdgeServer is the single-client run:
+        # A fleet of one over a FIFO scheduler is the single-client run:
         # same frames, same trace (up to the indexed lane names), same
         # metrics, given the same seeds for every component.
         lane_map = {"client0": "client", "channel0": "channel"}
@@ -99,8 +106,9 @@ class TestMultiClientPipeline:
             multi, multi_tracer = _run_one(system, fleet=True)
             # edgeIS traces its own stages (VO, CFRS) on the unindexed lane.
             own_lanes = {"client"} if system == "edgeis" else set()
-            assert set(single_tracer.lanes()) == {"client", "channel", "server"}
-            assert set(multi_tracer.lanes()) == {"client0", "channel0", "server"} | own_lanes
+            shared = {"server0", "serve"}
+            assert set(single_tracer.lanes()) == {"client", "channel"} | shared
+            assert set(multi_tracer.lanes()) == {"client0", "channel0"} | shared | own_lanes
             assert single.offload_count > 0
             assert single.to_dict(include_frames=True) == multi.to_dict(
                 include_frames=True
@@ -110,8 +118,8 @@ class TestMultiClientPipeline:
 
     def test_contention_serializes_server(self):
         # Four clients saturate the shared server far more than one.
-        solo = MultiClientPipeline(make_sessions(1, frames=40), make_server()).run()
-        fleet = MultiClientPipeline(make_sessions(4, frames=40), make_server()).run()
+        solo = MultiClientPipeline(make_sessions(1, frames=40), make_scheduler(1)).run()
+        fleet = MultiClientPipeline(make_sessions(4, frames=40), make_scheduler(4)).run()
         assert fleet[0].server_utilization() > solo[0].server_utilization()
 
     def test_shared_field_study_runs(self):

@@ -589,32 +589,11 @@ class TestFleetExperiment:
             + stats["rejected_infeasible"]
         )
 
-    def test_fifo_topology_has_no_scheduler(self):
-        from repro.eval.experiments import FleetSpec, run_fleet
-
-        outcome = run_fleet(
-            FleetSpec(
-                num_clients=2,
-                num_frames=15,
-                resolution=(128, 96),
-                warmup_frames=5,
-                scheduler=False,
-            )
-        )
-        assert outcome.scheduler is None
-        assert len(outcome.results) == 2
-
-    def test_fifo_multi_server_rejected(self):
-        from repro.eval.experiments import FleetSpec
-
-        with pytest.raises(ValueError, match="exactly one server"):
-            FleetSpec(scheduler=False, num_servers=2)
-
     @pytest.mark.parametrize(
         "kwargs,message",
         [
             ({"num_clients": 0}, "num_clients must be >= 1"),
-            ({"autoscale": True, "scheduler": False}, "autoscaling requires"),
+            ({"num_clients": 3, "tenants": "gold:premium:2"}, "session counts"),
             ({"scenario": "meteor-strike"}, "unknown scenario"),
             ({"faults": "cosmic-ray"}, "unknown fault program"),
         ],
@@ -638,7 +617,7 @@ class TestFleetExperiment:
 class TestFleetBaselineArtifact:
     """The committed fleet BENCH artifact must certify the tentpole
     claim: under 8-client saturation, deadline-aware scheduling with
-    MAMT-fallback degradation strictly beats the bare FIFO deployment
+    MAMT-fallback degradation strictly beats the FIFO deployment
     on frame-deadline miss rate."""
 
     @pytest.fixture(scope="class")
@@ -659,12 +638,88 @@ class TestFleetBaselineArtifact:
 
     def test_shed_and_degrade_counts_recorded(self, payload):
         serve = payload["scenarios"]["edf-1srv-degrade"]["serve"]
-        assert serve["scheduler"] is True
         assert serve["shed"] + serve["rejected_infeasible"] > 0
         assert serve["shed"] >= 1
         assert serve["degrade"]["degrade_events"] >= 1
-        fifo = payload["scenarios"]["fifo-1srv"]["serve"]
-        assert fifo["scheduler"] is False
+
+
+class TestFifoConfiguration:
+    """The paper's deployment is the scheduler's FIFO configuration:
+    nothing is ever rejected, shed or degraded, and service follows
+    arrival order."""
+
+    @staticmethod
+    def assert_never_refuses(stats):
+        for key in (
+            "rejected_queue_full",
+            "rejected_infeasible",
+            "rejected_no_replica",
+            "shed",
+            "displaced",
+        ):
+            assert stats[key] == 0, key
+        assert stats["degrade"]["degrade_events"] == 0
+        assert stats["submitted"] == stats["admitted"]
+        assert stats["submitted"] == stats["completed"] + stats["left_in_queue"]
+
+    def pipeline(self, system, num_frames=120, tracer=None):
+        from repro.eval.experiments import ExperimentSpec, _make_video, build_client
+        from repro.network import make_channel
+        from repro.runtime import Pipeline
+
+        video = _make_video(
+            ExperimentSpec(system, num_frames=num_frames, resolution=(160, 120))
+        )
+        return Pipeline(
+            video,
+            build_client(system, video, tracer=tracer),
+            make_channel("wifi_5ghz", np.random.default_rng(1)),
+            make_edge_server(),
+            tracer=tracer,
+        )
+
+    def test_pipeline_run_never_refuses(self):
+        # edge_best_effort offloads every frame it can, so the queue
+        # still holds work when the run ends.
+        pipeline = self.pipeline("edge_best_effort")
+        result = pipeline.run()
+        stats = pipeline.scheduler.stats(result.duration_ms)
+        assert stats["policy"] == "round_robin"
+        assert stats["submitted"] == result.offload_count > 0
+        self.assert_never_refuses(stats)
+        assert 0.0 < result.server_utilization() <= 1.0
+        assert stats["per_server"][0]["utilization"] <= 1.0
+
+    def test_fifo_cell_never_refuses(self):
+        from dataclasses import replace
+
+        from repro.eval.experiments import run_fleet
+        from repro.eval.suites import suite_cells
+
+        (cell,) = suite_cells("fleet", scenario="fifo-1srv")
+        outcome = run_fleet(replace(cell.spec, num_frames=30, resolution=(128, 96)))
+        self.assert_never_refuses(outcome.scheduler.stats(outcome.duration_ms))
+        payload = json.loads(BASELINE.read_text())
+        self.assert_never_refuses(payload["scenarios"]["fifo-1srv"]["serve"])
+
+    def test_one_in_flight_service_starts_at_arrival_or_previous_completion(self):
+        tracer = Tracer()
+        self.pipeline("edgeis", tracer=tracer).run()
+        arrivals = {
+            event.ctx.trace_id: event.ts_ms
+            for event in tracer.events
+            if event.name == "server.queue_enter"
+        }
+        infers = sorted(
+            (span for span in tracer.spans if span.name == "server.infer"),
+            key=lambda span: span.start_ms,
+        )
+        assert len(infers) >= 2
+        previous_end = 0.0
+        for span in infers:
+            expected = max(arrivals[span.ctx.trace_id], previous_end)
+            assert span.start_ms == pytest.approx(expected, abs=1e-9)
+            previous_end = span.start_ms + span.dur_ms
 
 
 class TestBatchConfig:

@@ -392,7 +392,6 @@ class TestFleetIntegration:
         num_clients=5,
         num_frames=30,
         resolution=(160, 120),
-        scheduler=True,
         policy="edf",
         queue_limit=3,
         deadline_horizon=72.0,
@@ -401,17 +400,10 @@ class TestFleetIntegration:
         trace=True,
     )
 
-    def test_tenancy_requires_scheduler(self):
-        with pytest.raises(ValueError, match="scheduler"):
-            FleetSpec(
-                num_clients=2, num_frames=4, scheduler=False,
-                tenants="gold:premium:2",
-            )
-
     def test_tenancy_session_count_must_match(self):
         with pytest.raises(ValueError, match="session counts"):
             FleetSpec(
-                num_clients=3, num_frames=4, scheduler=True,
+                num_clients=3, num_frames=4,
                 tenants="gold:premium:2",
             )
 
@@ -528,3 +520,12 @@ class TestTenantsBaseline:
             sum(s["utilization"] for s in per_server) / 3
         )
         assert 0.0 < utilization <= 1.0
+
+    @pytest.mark.parametrize("name", ["premium-only", "mixed-saturate"])
+    def test_utilization_never_exceeds_one(self, payload, name):
+        # Busy time counts only service inside the run: the tail of a
+        # service still running at the end is not charged to it.
+        cell = payload["scenarios"][name]
+        assert 0.0 < cell["result"]["server_utilization"] <= 1.0
+        for entry in cell["serve"]["per_server"]:
+            assert 0.0 < entry["utilization"] <= 1.0
