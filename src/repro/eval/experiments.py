@@ -267,8 +267,7 @@ class FleetSpec:
     # Cross-session batching (repro.serve.batching): a replica may hold a
     # servable request up to ``batch_window_ms`` to coalesce compatible
     # queued requests into one batch of at most ``max_batch_size``.
-    # ``max_batch_size=1`` disables batching and reproduces the unbatched
-    # fleet byte-for-byte.
+    # ``max_batch_size=1`` serves every request alone (a batch of one).
     batch_window_ms: float = 0.0
     max_batch_size: int = 1
     warmup_frames: int = 10

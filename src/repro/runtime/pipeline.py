@@ -272,98 +272,34 @@ class EdgeServer:
 
     def submit(
         self,
-        request: OffloadRequest,
-        truth_masks: list[InstanceMask],
-        image_shape: tuple[int, int],
-        arrive_ms: float,
-        ctx: RequestContext | None = None,
-    ) -> tuple[float, list[InstanceMask]]:
-        """Serve one request alone (the scheduler's unbatched dispatch);
-        returns (completion time ms, detections)."""
-        start = max(arrive_ms, self.free_at_ms)
-        tracer = self.tracer
-        if tracer.enabled:
-            if 0.0 < self.free_at_ms < arrive_ms:
-                tracer.add_span(
-                    "server.idle",
-                    lane=self.lane,
-                    start_ms=self.free_at_ms,
-                    dur_ms=arrive_ms - self.free_at_ms,
-                )
-            tracer.event(
-                "server.queue_enter",
-                lane=self.lane,
-                ts_ms=arrive_ms,
-                frame=request.frame_index,
-                ctx=ctx,
-                was_free=self.is_free_at(arrive_ms),
-            )
-        result, detections = self._infer_one(request, truth_masks, image_shape)
-        service_ms = result.total_ms * self.latency_scale
-        completion = start + service_ms
-        self.free_at_ms = completion
-        self.busy_ms_total += service_ms
-        self._m_requests.inc()
-        self._h_queue_wait.observe(start - arrive_ms)
-        self._h_infer.observe(service_ms)
-        if tracer.enabled:
-            tracer.event(
-                "server.queue_exit",
-                lane=self.lane,
-                ts_ms=start,
-                frame=request.frame_index,
-                ctx=ctx,
-                queue_wait_ms=round(start - arrive_ms, 6),
-            )
-            attrs = {
-                "rpn_ms": round(result.rpn_ms, 6),
-                "inference_ms": round(result.inference_ms, 6),
-                "anchors_evaluated": result.anchors_evaluated,
-                "num_proposals": result.num_proposals,
-                "num_rois": result.num_rois,
-                "num_detections": len(detections),
-                "location_fraction": round(result.location_fraction, 6),
-            }
-            if result.pruning is not None:
-                attrs["rois_pruned_dominated"] = result.pruning.num_pruned_dominated
-                attrs["rois_pruned_nms"] = result.pruning.num_pruned_nms
-            tracer.add_span(
-                "server.infer",
-                lane=self.lane,
-                frame=request.frame_index,
-                start_ms=start,
-                dur_ms=service_ms,
-                ctx=ctx,
-                **attrs,
-            )
-        return completion, detections
-
-    def submit_batch(
-        self,
         entries: list[tuple],
         start_ms: float,
         alpha: float,
     ) -> tuple[float, list[list[InstanceMask]], list[float]]:
-        """Serve several requests as one batched inference call.
+        """Serve one dispatch: ``entries`` as one inference call.
 
         ``entries`` are ``(request, truth_masks, image_shape, arrive_ms,
         ctx)`` tuples (``ctx`` a :class:`RequestContext` or None);
-        ``start_ms`` is when the scheduler dispatches the batch.
-        Latency follows the calibrated sub-linear model::
-
-            batch_ms = setup + k * n**alpha,   k = mean(solo_ms) - setup
-
-        where ``setup`` (:meth:`batch_setup_ms`) is the device-scaled
-        fixed cost paid once per call and ``solo_ms`` are the per-item
-        latencies the cost model charges when served alone — so a batch
-        of one reproduces the solo latency exactly.  Returns
-        ``(completion_ms, per-item detections, per-item solo_ms)``; every
-        item completes when the batch does.
+        ``start_ms`` is when the scheduler dispatches them.  The call
+        costs :func:`~repro.serve.batching.estimate_batch_ms` over the
+        members' solo latencies (``setup`` = :meth:`batch_setup_ms`)
+        times ``latency_scale``; a single entry costs exactly its solo
+        latency.  Returns ``(completion_ms, per-item detections,
+        per-item scaled solo_ms)``; every item completes with the call.
         """
+        from ..serve.batching import estimate_batch_ms
+
         if not entries:
-            raise ValueError("submit_batch needs at least one entry")
+            raise ValueError("submit needs at least one entry")
         start = max(start_ms, self.free_at_ms)
         tracer = self.tracer
+        if tracer.enabled and 0.0 < self.free_at_ms < start:
+            tracer.add_span(
+                "server.idle",
+                lane=self.lane,
+                start_ms=self.free_at_ms,
+                dur_ms=start - self.free_at_ms,
+            )
         results = []
         all_detections: list[list[InstanceMask]] = []
         for request, truth_masks, image_shape, arrive_ms, ctx in entries:
@@ -384,12 +320,14 @@ class EdgeServer:
         solo_ms = [result.total_ms for result in results]
         setup = self.batch_setup_ms()
         size = len(entries)
-        per_item = max(sum(solo_ms) / size - setup, 0.0)
-        batch_ms = (setup + per_item * size**alpha) * self.latency_scale
-        completion = start + batch_ms
+        service_ms = (
+            estimate_batch_ms(sum(solo_ms) / size, setup, size, alpha)
+            * self.latency_scale
+        )
+        completion = start + service_ms
         self.free_at_ms = completion
-        self.busy_ms_total += batch_ms
-        for (request, _, _, arrive_ms, ctx), result in zip(entries, results):
+        self.busy_ms_total += service_ms
+        for request, _, _, arrive_ms, ctx in entries:
             self._m_requests.inc()
             self._h_queue_wait.observe(start - arrive_ms)
             if tracer.enabled:
@@ -401,24 +339,46 @@ class EdgeServer:
                     ctx=ctx,
                     queue_wait_ms=round(start - arrive_ms, 6),
                 )
-        self._h_infer.observe(batch_ms)
+        self._h_infer.observe(service_ms)
         if tracer.enabled:
-            member_traces = [
-                entry[4].trace_id for entry in entries if entry[4] is not None
-            ]
+            if size == 1:
+                result = results[0]
+                attrs = {
+                    "rpn_ms": round(result.rpn_ms, 6),
+                    "inference_ms": round(result.inference_ms, 6),
+                    "anchors_evaluated": result.anchors_evaluated,
+                    "num_proposals": result.num_proposals,
+                    "num_rois": result.num_rois,
+                    "num_detections": len(all_detections[0]),
+                    "location_fraction": round(result.location_fraction, 6),
+                }
+                if result.pruning is not None:
+                    attrs["rois_pruned_dominated"] = result.pruning.num_pruned_dominated
+                    attrs["rois_pruned_nms"] = result.pruning.num_pruned_nms
+            else:
+                attrs = {
+                    "batch_size": size,
+                    "setup_ms": round(setup, 6),
+                    "solo_total_ms": round(sum(solo_ms), 6),
+                    "traces": [
+                        entry[4].trace_id for entry in entries if entry[4] is not None
+                    ],
+                }
             tracer.add_span(
                 "server.infer",
                 lane=self.lane,
                 frame=entries[0][0].frame_index,
                 start_ms=start,
-                dur_ms=batch_ms,
+                dur_ms=service_ms,
                 ctx=entries[0][4],
-                batch_size=size,
-                setup_ms=round(setup, 6),
-                solo_total_ms=round(sum(solo_ms), 6),
-                traces=member_traces,
+                **attrs,
             )
-        return completion, all_detections, solo_ms
+        return completion, all_detections, [
+            solo * self.latency_scale for solo in solo_ms
+        ]
+
+    # perfbench/worker.py wraps this name as well as ``submit``.
+    submit_batch = submit
 
     def is_free_at(self, now_ms: float) -> bool:
         """True when a request arriving at ``now_ms`` would start at once

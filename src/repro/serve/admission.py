@@ -81,19 +81,10 @@ class AdmissionController:
         """Absolute deadline of a request shipped at ``send_ms``."""
         return send_ms + self.config.deadline_horizon * budget_ms
 
-    def estimate_completion(self, item, replica, now_ms: float) -> float:
-        """Estimated completion were ``item`` appended to ``replica``."""
-        start = max(item.arrive_ms, replica.server.free_at_ms, now_ms)
-        return (
-            start
-            + replica.backlog_ms(now_ms)
-            + replica.est_infer_ms
-            + self.config.est_downlink_ms
-        )
-
     def check(self, item, replica, now_ms: float) -> AdmissionDecision:
-        """Admit, or reject with the reason, one arriving request."""
-        est = self.estimate_completion(item, replica, now_ms)
+        """Admit, or reject with the reason, one arriving request; the
+        estimate is the replica's completion estimate plus the downlink."""
+        est = replica.est_completion_ms(item, now_ms) + self.config.est_downlink_ms
         if len(replica.queue) >= self.config.queue_limit:
             return AdmissionDecision(REJECT_QUEUE_FULL, est)
         if self.config.reject_infeasible and est > item.deadline_ms:

@@ -83,12 +83,8 @@ class EarliestDeadlineFirstPolicy(SchedulingPolicy):
     name = "edf"
 
     def choose(self, item, replicas, now_ms: float):
-        def estimated_completion(replica):
-            start = max(item.arrive_ms, replica.server.free_at_ms, now_ms)
-            return start + replica.backlog_ms(now_ms) + replica.est_infer_ms
-
         return min(
-            replicas, key=lambda r: (estimated_completion(r), r.index)
+            replicas, key=lambda r: (r.est_completion_ms(item, now_ms), r.index)
         )
 
     def service_key(self, item):

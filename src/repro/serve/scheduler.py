@@ -37,6 +37,7 @@ from ..tenancy.metering import TenantMeter
 from ..tenancy.qos import QoSClass, TenantDirectory
 from .admission import (
     ADMIT,
+    REJECT_INFEASIBLE,
     REJECT_QUEUE_FULL,
     AdmissionConfig,
     AdmissionController,
@@ -71,6 +72,10 @@ REJECT_NO_REPLICA = "reject-no-replica"
 FIFO_POLICY = "round_robin"
 FIFO_QUEUE_LIMIT = 10**9
 FIFO_DEADLINE_HORIZON = 1e9
+
+# A replica without batching: every dispatch is a batch of one, sent at
+# its pick instant.
+_UNBATCHED = BatchConfig(window_ms=0.0, max_size=1)
 
 
 @dataclass
@@ -117,7 +122,7 @@ class ServerReplica:
         index: int,
         server: EdgeServer,
         est_infer_ms: float,
-        batching: BatchConfig | None = None,
+        batching: BatchConfig = _UNBATCHED,
     ):
         self.index = index
         self.server = server
@@ -126,7 +131,7 @@ class ServerReplica:
         # Chaos kill_replica flips this; dead replicas take no placements
         # and are skipped by the drain loop until revived.
         self.alive = True
-        self.batching = batching if batching is not None and batching.enabled else None
+        self.batching = batching
         self.completed = 0
         self.shed = 0
         self.batches = 0
@@ -134,7 +139,6 @@ class ServerReplica:
 
     def est_batch_ms(self, size: int) -> float:
         """Expected service time for a batch of ``size`` on this replica."""
-        assert self.batching is not None
         return estimate_batch_ms(
             self.est_infer_ms,
             self.server.batch_setup_ms(),
@@ -143,11 +147,8 @@ class ServerReplica:
         )
 
     def per_item_est_ms(self) -> float:
-        """Expected per-item service cost of the queued backlog — the
-        amortized full-batch cost when batching is on, the solo estimate
-        otherwise."""
-        if self.batching is None:
-            return self.est_infer_ms
+        """Expected per-item service cost of the queued backlog: the
+        amortized full-batch cost (the solo estimate at ``max_size=1``)."""
         size = self.batching.max_size
         return self.est_batch_ms(size) / size
 
@@ -170,6 +171,11 @@ class ServerReplica:
         residual = max(0.0, self.server.free_at_ms - now_ms)
         return residual + self.per_item_est_ms() * len(self.queue)
 
+    def est_completion_ms(self, item: ServeItem, now_ms: float) -> float:
+        """Estimated completion were ``item`` appended to this replica."""
+        start = max(item.arrive_ms, self.server.free_at_ms, now_ms)
+        return start + self.backlog_ms(now_ms) + self.est_infer_ms
+
     def observe_infer(self, infer_ms: float, alpha: float) -> None:
         self.est_infer_ms = (1.0 - alpha) * self.est_infer_ms + alpha * infer_ms
 
@@ -182,7 +188,7 @@ class ServerPool:
         servers: list[EdgeServer],
         policy: SchedulingPolicy | str = "edf",
         est_infer_prior_ms: float = 350.0,
-        batching: BatchConfig | None = None,
+        batching: BatchConfig = _UNBATCHED,
     ):
         if not servers:
             raise ValueError("ServerPool needs at least one EdgeServer")
@@ -235,9 +241,7 @@ class FleetScheduler:
         tenancy: TenantDirectory | None = None,
     ):
         self.admission = AdmissionController(admission)
-        if batching is not None:
-            batching.validate()
-        self.batching = batching if batching is not None and batching.enabled else None
+        self.batching = (batching or _UNBATCHED).validate()
         self.pool = ServerPool(
             servers,
             policy,
@@ -303,9 +307,10 @@ class FleetScheduler:
         metrics = tracer.metrics
         self._m_submitted = metrics.counter("serve.submitted")
         self._m_admit = metrics.counter("serve.admit")
-        self._m_reject_queue = metrics.counter("serve.reject_queue_full")
-        self._m_reject_deadline = metrics.counter("serve.reject_infeasible")
-        self._m_reject_no_replica = metrics.counter("serve.reject_no_replica")
+        self._m_reject = {
+            status: metrics.counter("serve." + status.replace("-", "_"))
+            for status in (REJECT_QUEUE_FULL, REJECT_INFEASIBLE, REJECT_NO_REPLICA)
+        }
         self._m_replica_down = metrics.counter("serve.replica_down")
         self._m_replica_up = metrics.counter("serve.replica_up")
         self._g_live_replicas = metrics.gauge("serve.live_replicas")
@@ -394,64 +399,82 @@ class FleetScheduler:
         self._meter(tenant, "bytes_up", float(request.payload_bytes))
 
         if not self.pool.live_replicas():
-            self.counts["rejected_no_replica"] += 1
-            self._m_reject_no_replica.inc()
-            self._meter(tenant, "rejected_no_replica")
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "serve.reject",
-                    lane="serve",
-                    ts_ms=arrive_ms,
-                    frame=item.frame_index,
-                    ctx=item.ctx,
-                    session=session_index,
-                    server=-1,
-                    reason=REJECT_NO_REPLICA,
-                    deadline_ms=round(item.deadline_ms, 6),
-                )
-            self._note_failure(session_index, now_ms)
-            return False, REJECT_NO_REPLICA
+            return self._reject(item, REJECT_NO_REPLICA, -1, now_ms)
 
         replica = self.pool.choose(item, now_ms)
         decision = self.admission.check(item, replica, now_ms)
-        if decision.admitted:
+        # Weighted-fair displacement: a full queue is not a flat
+        # rejection when tenancy is on — an arrival with a stronger claim
+        # (higher QoS, then earlier SFQ virtual start) evicts the weakest
+        # queued item instead, so a saturating tenant cannot hold every
+        # slot against the others.
+        if decision.admitted or (
+            decision.status == REJECT_QUEUE_FULL
+            and self.tenancy is not None
+            and self._try_displace(item, replica, now_ms)
+        ):
             self._admit(item, replica, decision.est_completion_ms, arrive_ms)
             return True, ADMIT
+        return self._reject(
+            item,
+            decision.status,
+            replica.index,
+            now_ms,
+            est_completion_ms=round(decision.est_completion_ms, 6),
+        )
 
-        if decision.status == REJECT_QUEUE_FULL:
-            # Weighted-fair displacement: a full queue is not a flat
-            # rejection when tenancy is on — an arrival with a stronger
-            # claim (higher QoS, then earlier SFQ virtual start) evicts
-            # the weakest queued item instead, so a saturating tenant
-            # cannot hold every slot against the others.
-            if self.tenancy is not None and self._try_displace(
-                item, replica, decision.est_completion_ms, arrive_ms, now_ms
-            ):
-                return True, ADMIT
-            self.counts["rejected_queue_full"] += 1
-            self._m_reject_queue.inc()
-            self._meter(tenant, "rejected_queue_full")
-        else:
-            self.counts["rejected_infeasible"] += 1
-            self._m_reject_deadline.inc()
-            self._meter(tenant, "rejected_infeasible")
+    # ------------------------------------------------------------------
+    def _reject(
+        self, item: ServeItem, status: str, server: int, now_ms: float, **attrs
+    ) -> tuple[bool, str]:
+        """Book one rejected arrival: it never reaches a server."""
+        key = status.replace("reject-", "rejected_").replace("-", "_")
+        self.counts[key] += 1
+        self._m_reject[status].inc()
+        self._meter(item.tenant, key)
         if self.tracer.enabled:
             self.tracer.event(
                 "serve.reject",
                 lane="serve",
-                ts_ms=arrive_ms,
+                ts_ms=item.arrive_ms,
                 frame=item.frame_index,
                 ctx=item.ctx,
-                session=session_index,
-                server=replica.index,
-                reason=decision.status,
+                session=item.session_index,
+                server=server,
+                reason=status,
                 deadline_ms=round(item.deadline_ms, 6),
-                est_completion_ms=round(decision.est_completion_ms, 6),
+                **attrs,
             )
-        self._note_failure(session_index, now_ms)
-        return False, decision.status
+        self._note_failure(item.session_index, now_ms)
+        return False, status
 
-    # ------------------------------------------------------------------
+    def _shed(
+        self, replica: ServerReplica, item: ServeItem, ts_ms: float, now_ms: float, **attrs
+    ) -> None:
+        """Book one queued request dropped unrun (at dispatch, displaced,
+        or orphaned by a kill); :meth:`advance` hands the outcome back."""
+        replica.queue.remove(item)
+        replica.shed += 1
+        self.counts["shed"] += 1
+        self._m_shed.inc()
+        self._meter(item.tenant, "shed")
+        if self.tracer.enabled:
+            self.tracer.event(
+                "serve.shed",
+                lane="serve",
+                ts_ms=ts_ms,
+                frame=item.frame_index,
+                ctx=item.ctx,
+                session=item.session_index,
+                server=replica.index,
+                deadline_ms=round(item.deadline_ms, 6),
+                **attrs,
+            )
+        self._note_failure(item.session_index, now_ms)
+        self._pending_outcomes.append(
+            ServeOutcome(kind="shed", item=item, server_index=replica.index)
+        )
+
     def _meter(self, tenant: str | None, key: str, amount: float = 1) -> None:
         if self.meter is not None and tenant is not None:
             self.meter.add(tenant, key, amount)
@@ -503,15 +526,10 @@ class FleetScheduler:
         )
 
     def _try_displace(
-        self,
-        item: ServeItem,
-        replica: ServerReplica,
-        est_completion_ms: float,
-        arrive_ms: float,
-        now_ms: float,
+        self, item: ServeItem, replica: ServerReplica, now_ms: float
     ) -> bool:
-        """Evict the weakest-claim queued item in favour of ``item`` if
-        the newcomer's claim is strictly stronger.  Shed-exempt
+        """Shed the weakest-claim queued item to make room for ``item``
+        if the newcomer's claim is strictly stronger.  Shed-exempt
         (premium) queue entries are never displaced."""
         victims = [
             queued for queued in replica.queue if not queued.qos.shed_exempt
@@ -521,32 +539,17 @@ class FleetScheduler:
         victim = max(victims, key=self._claim)
         if not self._claim(item) < self._claim(victim):
             return False
-        replica.queue.remove(victim)
-        replica.shed += 1
-        self.counts["shed"] += 1
         self.counts["displaced"] += 1
-        self._m_shed.inc()
         self._m_displaced.inc()
-        self._meter(victim.tenant, "shed")
         self._meter(victim.tenant, "displaced")
-        if self.tracer.enabled:
-            self.tracer.event(
-                "serve.shed",
-                lane="serve",
-                ts_ms=arrive_ms,
-                frame=victim.frame_index,
-                ctx=victim.ctx,
-                session=victim.session_index,
-                server=replica.index,
-                deadline_ms=round(victim.deadline_ms, 6),
-                reason="displaced",
-                by=item.ctx.trace_id if item.ctx is not None else None,
-            )
-        self._note_failure(victim.session_index, now_ms)
-        self._pending_outcomes.append(
-            ServeOutcome(kind="shed", item=victim, server_index=replica.index)
+        self._shed(
+            replica,
+            victim,
+            item.arrive_ms,
+            now_ms,
+            reason="displaced",
+            by=item.ctx.trace_id if item.ctx is not None else None,
         )
-        self._admit(item, replica, est_completion_ms, arrive_ms)
         return True
 
     # ------------------------------------------------------------------
@@ -558,12 +561,9 @@ class FleetScheduler:
         notifies the owning client).  Also runs the staggered
         degrade-recovery check against the post-drain queue depth.
         """
-        outcomes = self._pending_outcomes
-        self._pending_outcomes = []
-        for replica in self.pool.replicas:
-            if not replica.alive:
-                continue
-            self._drain_replica(replica, now_ms, outcomes)
+        for replica in self.pool.live_replicas():
+            self._drain_replica(replica, now_ms)
+        outcomes, self._pending_outcomes = self._pending_outcomes, []
 
         depth = self.pool.queue_depth()
         self._g_queue_depth.set(depth)
@@ -588,10 +588,7 @@ class FleetScheduler:
         return outcomes
 
     # ------------------------------------------------------------------
-    def _drain_replica(
-        self, replica: ServerReplica, now_ms: float, outcomes: list[ServeOutcome]
-    ) -> None:
-        alpha = self.admission.config.est_infer_alpha
+    def _drain_replica(self, replica: ServerReplica, now_ms: float) -> None:
         while replica.queue:
             free_at = replica.server.free_at_ms
             earliest = min(item.arrive_ms for item in replica.queue)
@@ -605,7 +602,7 @@ class FleetScheduler:
                 (item for item in replica.queue if item.arrive_ms <= pick_ms),
                 key=self.pool.policy.service_key,
             )
-            chosen = None
+            head = None
             for item in arrived:
                 # Shed-exempt (premium) items are dispatched even when
                 # late — the tenant paid for the full offload path.
@@ -613,62 +610,14 @@ class FleetScheduler:
                 if sheddable and self.admission.should_shed(
                     item, pick_ms, replica.est_infer_ms
                 ):
-                    replica.queue.remove(item)
-                    replica.shed += 1
-                    self.counts["shed"] += 1
-                    self._m_shed.inc()
-                    self._meter(item.tenant, "shed")
-                    if self.tracer.enabled:
-                        self.tracer.event(
-                            "serve.shed",
-                            lane="serve",
-                            ts_ms=pick_ms,
-                            frame=item.frame_index,
-                            ctx=item.ctx,
-                            session=item.session_index,
-                            server=replica.index,
-                            deadline_ms=round(item.deadline_ms, 6),
-                        )
-                    self._note_failure(item.session_index, now_ms)
-                    outcomes.append(
-                        ServeOutcome(
-                            kind="shed", item=item, server_index=replica.index
-                        )
-                    )
+                    self._shed(replica, item, pick_ms, now_ms)
                     continue
-                chosen = item
+                head = item
                 break
-            if chosen is None:
+            if head is None:
                 continue  # everything arrived was shed; re-evaluate queue
-            if self.batching is not None:
-                if self._dispatch_batch(replica, chosen, pick_ms, now_ms, outcomes, alpha):
-                    continue
+            if not self._dispatch_batch(replica, head, pick_ms, now_ms):
                 return  # batch window still open in simulated time
-            replica.queue.remove(chosen)
-            free_before = replica.server.free_at_ms
-            completion, detections = replica.server.submit(
-                chosen.request,
-                chosen.truth_masks,
-                chosen.image_shape,
-                chosen.arrive_ms,
-                ctx=chosen.ctx,
-            )
-            start = max(chosen.arrive_ms, free_before)
-            replica.observe_infer(completion - start, alpha)
-            replica.completed += 1
-            self.counts["completed"] += 1
-            self._m_complete.inc()
-            self._meter(chosen.tenant, "completed")
-            self._meter(chosen.tenant, "server_ms", completion - start)
-            outcomes.append(
-                ServeOutcome(
-                    kind="complete",
-                    item=chosen,
-                    masks=detections,
-                    completion_ms=completion,
-                    server_index=replica.index,
-                )
-            )
 
     def _dispatch_batch(
         self,
@@ -676,8 +625,6 @@ class FleetScheduler:
         head: ServeItem,
         pick_ms: float,
         now_ms: float,
-        outcomes: list[ServeOutcome],
-        alpha: float,
     ) -> bool:
         """Coalesce compatible queued items behind ``head`` and dispatch.
 
@@ -687,16 +634,16 @@ class FleetScheduler:
         estimated completion within *every* member's deadline — batching
         never induces a deadline miss that solo service would have met.
         The dispatch instant is ``max(pick, last join, min(window end,
-        urgency cutoff))``; if that lies beyond ``now_ms`` the whole
-        drain defers (any request submitted at a later tick arrives after
-        ``now_ms``, so deferring can only *add* candidates, never reorder
-        committed ones — the byte-identical-schedule property of the
-        unbatched drain carries over).
+        urgency cutoff))``; a full batch leaves at ``max(pick, last
+        join)``, so at ``max_size=1`` the head leaves at its pick.  If
+        the instant lies beyond ``now_ms`` the whole drain defers (any
+        request submitted at a later tick arrives after ``now_ms``, so
+        deferring can only *add* candidates, never reorder committed
+        ones — schedules stay byte-identical across runs).
 
         Returns True when a batch was dispatched, False to defer.
         """
         cfg = replica.batching
-        assert cfg is not None
         window_end = pick_ms + cfg.window_ms
         members = [head]
         join_max = pick_ms  # head already arrived by pick_ms
@@ -737,7 +684,9 @@ class FleetScheduler:
         for item in members:
             replica.queue.remove(item)
         free_before = replica.server.free_at_ms
-        completion, detections_list, solo_ms = replica.server.submit_batch(
+        # One submit call per dispatch, a batch of one included: perfbench
+        # counts single-client dispatches by these calls.
+        completion, detections_list, solo_ms = replica.server.submit(
             [
                 (item.request, item.truth_masks, item.image_shape, item.arrive_ms, item.ctx)
                 for item in members
@@ -746,24 +695,36 @@ class FleetScheduler:
             cfg.alpha,
         )
         batch_ms = completion - max(dispatch, free_before)
-        saved_ms = max(sum(solo_ms) - batch_ms, 0.0)
+        alpha = self.admission.config.est_infer_alpha
         for solo in solo_ms:
             replica.observe_infer(solo, alpha)
         size = len(members)
-        for item in members:
-            self._meter(item.tenant, "completed")
-            # Batched service cost is split evenly across the members —
-            # the per-tenant server_ms sums stay within float tolerance
-            # of the pool's busy_ms_total.
-            self._meter(item.tenant, "server_ms", batch_ms / size)
         replica.completed += size
+        self.counts["completed"] += size
+        self._m_complete.inc(size)
+        for item, detections in zip(members, detections_list):
+            self._meter(item.tenant, "completed")
+            # Service cost is split evenly across the members — the
+            # per-tenant server_ms sums stay within float tolerance of
+            # the pool's busy_ms_total.
+            self._meter(item.tenant, "server_ms", batch_ms / size)
+            self._pending_outcomes.append(
+                ServeOutcome(
+                    kind="complete",
+                    item=item,
+                    masks=detections,
+                    completion_ms=completion,
+                    server_index=replica.index,
+                )
+            )
+        if cfg.max_size == 1:
+            return True  # batch accounting covers batching replicas only
+        saved_ms = max(sum(solo_ms) - batch_ms, 0.0)
         replica.batches += 1
         replica.batched_items += size
-        self.counts["completed"] += size
         self.counts["batches"] += 1
         self.counts["batched_items"] += size
         self.counts["batch_saved_ms"] += saved_ms
-        self._m_complete.inc(size)
         self._m_batches.inc()
         self._m_batched_items.inc(size)
         self._m_batch_saved.inc(saved_ms)
@@ -780,16 +741,6 @@ class FleetScheduler:
                 batch_ms=round(batch_ms, 6),
                 saved_ms=round(saved_ms, 6),
                 traces=[item.ctx.trace_id for item in members if item.ctx is not None],
-            )
-        for item, detections in zip(members, detections_list):
-            outcomes.append(
-                ServeOutcome(
-                    kind="complete",
-                    item=item,
-                    masks=detections,
-                    completion_ms=completion,
-                    server_index=replica.index,
-                )
             )
         return True
 
@@ -814,28 +765,8 @@ class FleetScheduler:
         self._m_replica_down.inc()
         self._g_live_replicas.set(len(self.pool.live_replicas()))
         orphans = list(replica.queue)
-        replica.queue.clear()
         for item in orphans:
-            replica.shed += 1
-            self.counts["shed"] += 1
-            self._m_shed.inc()
-            self._meter(item.tenant, "shed")
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "serve.shed",
-                    lane="serve",
-                    ts_ms=now_ms,
-                    frame=item.frame_index,
-                    ctx=item.ctx,
-                    session=item.session_index,
-                    server=replica.index,
-                    deadline_ms=round(item.deadline_ms, 6),
-                    reason="replica_killed",
-                )
-            self._note_failure(item.session_index, now_ms)
-            self._pending_outcomes.append(
-                ServeOutcome(kind="shed", item=item, server_index=replica.index)
-            )
+            self._shed(replica, item, now_ms, now_ms, reason="replica_killed")
         if self.tracer.enabled:
             self.tracer.event(
                 "serve.replica_down",
@@ -894,8 +825,9 @@ class FleetScheduler:
 
     def set_latency_scale(self, index: int, scale: float) -> None:
         """Inflate (or restore) one replica's service time — the chaos
-        straggler fault.  The admission EMA observes the inflated times,
-        so feasibility checks steer load away from the straggler."""
+        straggler fault.  Every dispatch, batched or not, feeds the
+        admission EMA each member's inflated solo time, so feasibility
+        checks steer load away from the straggler."""
         if scale <= 0.0:
             raise ValueError("latency scale must be positive")
         self.pool.replicas[index].server.latency_scale = scale
@@ -928,7 +860,7 @@ class FleetScheduler:
                 "busy_ms": round(replica.server.busy_ms_total, 6),
                 "est_infer_ms": round(replica.est_infer_ms, 6),
             }
-            if self.batching is not None:
+            if self.batching.max_size > 1:
                 entry["batches"] = replica.batches
                 entry["batched_items"] = replica.batched_items
             if duration_ms:
@@ -964,7 +896,7 @@ class FleetScheduler:
                 "per_tenant": self.meter.stats(),
                 "fair": self.fair.stats(),
             }
-        if self.batching is not None:
+        if self.batching.max_size > 1:
             completed = self.counts["completed"]
             out["batching"] = {
                 "window_ms": self.batching.window_ms,

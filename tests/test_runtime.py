@@ -108,8 +108,9 @@ class TestPipelineMechanics:
         video = make_dataset("xiph_like", num_frames=1, resolution=(160, 120))
         _, truth = video.frame_at(0)
         request = OffloadRequest(frame_index=0, payload_bytes=0, encode_ms=0.0)
-        done1, _ = server.submit(request, truth.masks, (120, 160), arrive_ms=0.0)
-        done2, _ = server.submit(request, truth.masks, (120, 160), arrive_ms=0.0)
+        entry = (request, truth.masks, (120, 160), 0.0, None)
+        done1, _, _ = server.submit([entry], 0.0, 0.8)
+        done2, _, _ = server.submit([entry], 0.0, 0.8)
         assert done2 >= done1 * 2 * 0.8  # second waits for the first
 
     def test_warmup_excluded_from_aggregates(self):
@@ -247,7 +248,8 @@ class TestEdgeServerAvailability:
         video = make_dataset("xiph_like", num_frames=1, resolution=(160, 120))
         _, truth = video.frame_at(0)
         request = OffloadRequest(frame_index=0, payload_bytes=0, encode_ms=0.0)
-        done, _ = server.submit(request, truth.masks, (120, 160), arrive_ms=10.0)
+        entry = (request, truth.masks, (120, 160), 10.0, None)
+        done, _, _ = server.submit([entry], 10.0, 0.8)
         assert server.free_at_ms == done
         assert not server.is_free_at(done - 1.0)
         assert server.is_free_at(done)

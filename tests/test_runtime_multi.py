@@ -1,5 +1,8 @@
 """Tests for the multi-client shared-server pipeline."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -149,3 +152,24 @@ class TestBenchmarkHookContract:
         result, _ = _run_one("edge_best_effort", fleet=False, frames=5)
         assert len(result.frames) == 5
         assert calls == []
+
+    def test_every_layer_hook_resolves(self, monkeypatch):
+        """``--mode trace`` of perfbench/worker.py replaces
+        ``target.__dict__[attr]`` for every hook of ``_layer_hooks``: the
+        owner itself for a class, every ``repro`` module that imported a
+        function by name.  A renamed or inherited method, or a function
+        no module imports, is a KeyError or a silently missing layer."""
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_worker", perfbench / "worker.py"
+        )
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        hooks = worker._layer_hooks(worker.Accumulators())
+        assert hooks
+        for _layer, owner, attr, _counter, _on_return in hooks:
+            targets = worker._owners(owner, attr)
+            assert targets, f"{owner!r}.{attr} resolves to no repro module"
+            for target in targets:
+                assert attr in target.__dict__, f"{target!r} has no own {attr}"

@@ -41,6 +41,9 @@ class _StubServer:
         self.free_at_ms = free_at_ms
         self.lane = "server"
 
+    def batch_setup_ms(self):
+        return 0.0
+
 
 def make_item(seq=0, session=0, arrive_ms=0.0, deadline_ms=400.0):
     request = OffloadRequest(frame_index=seq, payload_bytes=1000, encode_ms=5.0)
@@ -185,8 +188,9 @@ class TestAdmission:
         # still admitted; one estimated a hair later is rejected.
         controller = AdmissionController()
         replica = make_replicas(0.0, est_infer_ms=100.0)[0]
-        est = controller.estimate_completion(
-            make_item(arrive_ms=10.0), replica, 0.0
+        est = (
+            replica.est_completion_ms(make_item(arrive_ms=10.0), 0.0)
+            + controller.config.est_downlink_ms
         )
         at = controller.check(
             make_item(arrive_ms=10.0, deadline_ms=est), replica, 0.0
@@ -733,14 +737,12 @@ class TestBatchConfig:
         with pytest.raises(ValueError, match="alpha"):
             BatchConfig(alpha=1.5).validate()
 
-    def test_enabled_iff_size_above_one(self):
-        assert not BatchConfig(max_size=1).enabled
-        assert BatchConfig(max_size=2).enabled
-
     def test_batch_of_one_is_exactly_solo(self):
         # The analytical anchor of the max_batch_size=1 byte-identity
         # contract: size 1 collapses the model to the solo estimate.
         assert estimate_batch_ms(350.0, 80.0, 1, 0.8) == 350.0
+        # Also where the device's setup share exceeds the estimate.
+        assert estimate_batch_ms(350.0, 727.0, 1, 0.8) == 350.0
 
     def test_sublinear_amortization(self):
         solo, setup = 350.0, 80.0
@@ -888,6 +890,23 @@ class TestBatchDispatch:
         assert replica.backlog_ms(20.0) == pytest.approx(
             replica.server.free_at_ms - 20.0
         )
+
+    def test_straggler_inflates_batched_estimate_like_unbatched(self):
+        # set_latency_scale's contract: the admission EMA observes the
+        # inflated service time, on a batching replica as on any other.
+        def estimate_after_one(batching, scale):
+            scheduler = self.make_scheduler(
+                batching, admission=AdmissionConfig(deadline_horizon=100.0)
+            )
+            scheduler.set_latency_scale(0, scale)
+            self.submit(scheduler, 0, 0.0)
+            outcomes = scheduler.advance(100_000.0)
+            assert [o.kind for o in outcomes] == ["complete"]
+            return scheduler.pool.replicas[0].est_infer_ms
+
+        batched = estimate_after_one(BatchConfig(max_size=3), 4.0)
+        assert batched == estimate_after_one(None, 4.0)
+        assert batched > estimate_after_one(BatchConfig(max_size=3), 1.0)
 
     def test_stats_report_batching_section(self):
         scheduler = self.make_scheduler(
