@@ -11,44 +11,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.eval import ExperimentSpec, Table
-from repro.eval.experiments import _make_video, build_client
-from repro.model import SimulatedSegmentationModel
-from repro.network import make_channel
-from repro.runtime import ClientSession, EdgeServer, MultiClientPipeline
-from repro.serve import fifo_scheduler
+from repro.eval import Table
+from repro.eval.experiments import FIFO_FLEET, FleetSpec, run_fleet
 
 FLEET_SIZES = (1, 2, 4, 8)
 
 
 def _run_fleet(size: int, num_frames: int, seed: int, use_ciia: bool = True):
-    from repro.core import SystemConfig
-    from repro.core.system import EdgeISSystem
-
-    sessions = []
-    for device in range(size):
-        spec = ExperimentSpec(
-            system="edgeis",
+    results = run_fleet(
+        FleetSpec(
+            **FIFO_FLEET,
+            num_clients=size,
+            # build_client reads "baseline+mamt+cfrs" as edgeIS without CIIA.
+            system="edgeis" if use_ciia else "baseline+mamt+cfrs",
             dataset="oilfield",
             num_frames=num_frames,
-            seed=seed + device,
+            resolution=(320, 240),
+            server_device="jetson_xavier",
+            warmup_frames=45,
+            seed=seed,
         )
-        video = _make_video(spec)
-        config = SystemConfig(seed=seed + device, use_ciia=use_ciia, use_mamt=True, use_cfrs=True)
-        client = EdgeISSystem(
-            video.camera,
-            (video.camera.height, video.camera.width),
-            config=config,
-            world=video.world,
-        )
-        channel = make_channel("wifi_5ghz", np.random.default_rng(seed + 500 + device))
-        sessions.append(ClientSession(video=video, client=client, channel=channel))
-    server = EdgeServer(
-        SimulatedSegmentationModel(
-            "mask_rcnn_r101", "jetson_xavier", np.random.default_rng(seed + 999)
-        )
-    )
-    results = MultiClientPipeline(sessions, fifo_scheduler([server], size)).run()
+    ).results
     ious = np.concatenate([r.per_object_ious() for r in results])
     return {
         "mean_iou": float(ious.mean()) if len(ious) else 0.0,

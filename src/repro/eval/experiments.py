@@ -22,13 +22,14 @@ from ..core.config import SystemConfig
 from ..core.system import EdgeISSystem
 from ..model.costs import DEVICES, DeviceProfile
 from ..model.maskrcnn import SimulatedSegmentationModel
-from ..network.channel import make_channel, spawn_channel_rngs
+from ..network.channel import CHANNELS, make_channel, spawn_channel_rngs
 from ..obs.timeline import TimelineSampler
 from ..obs.trace import NULL_TRACER, Tracer
 from ..runtime.multi import ClientSession, MultiClientPipeline
 from ..runtime.pipeline import EdgeServer, Pipeline, RunResult
 from ..runtime.resources import DEVICE_POWER, ResourceMonitor
 from ..serve import AdmissionConfig, BatchConfig, DegradeConfig, FleetScheduler
+from ..serve import FIFO_DEADLINE_HORIZON, FIFO_POLICY, FIFO_QUEUE_LIMIT
 from ..tenancy import Autoscaler, AutoscalerConfig, TenantDirectory, parse_tenants
 from ..synthetic.datasets import make_complexity_scene, make_dataset
 from ..synthetic.world import SyntheticVideo
@@ -37,6 +38,7 @@ __all__ = [
     "SYSTEM_NAMES",
     "ABLATION_NAMES",
     "ExperimentSpec",
+    "FIFO_FLEET",
     "FleetSpec",
     "FleetOutcome",
     "build_client",
@@ -246,16 +248,19 @@ def run_grid(specs: list[ExperimentSpec]) -> list[ExperimentOutcome]:
 class FleetSpec:
     """A multi-client serving experiment: the paper's Section VI-G
     topology behind a ``repro.serve`` scheduler.  The paper's own FIFO
-    deployment is ``policy=FIFO_POLICY, queue_limit=FIFO_QUEUE_LIMIT,
-    deadline_horizon=FIFO_DEADLINE_HORIZON, degrade=False``."""
+    deployment is ``FleetSpec(**FIFO_FLEET, ...)``."""
 
     num_clients: int = 8
     system: str = "baseline+mamt"
     dataset: str = "xiph_like"
+    # One channel name for every session, or a "name:count[,...]" mix
+    # whose counts sum to ``num_clients``: session i takes the i-th link
+    # in expansion order ("wifi_5ghz:5,lte:3" is the paper's field fleet).
     network: str = "wifi_5ghz"
     num_frames: int = 60
     resolution: tuple[int, int] = (160, 120)
     motion_grade: str = "walk"
+    dynamic: bool | None = None
     server_device: str = "jetson_tx2"
     server_latency_scale: float = 1.0
     # Serving-layer knobs.
@@ -302,11 +307,32 @@ class FleetSpec:
         included) when autoscaling, else ``num_servers``."""
         return self.autoscale_max if self.autoscale else self.num_servers
 
+    def session_networks(self) -> list[str]:
+        """Each session's channel name, in session order."""
+        if ":" not in self.network:
+            return [self.network] * self.num_clients
+        names = []
+        for part in self.network.split(","):
+            name, _, count = part.partition(":")
+            if not count.isdigit():
+                raise ValueError(f"bad network mix entry {part!r}; expected name:count")
+            names += [name.strip()] * int(count)
+        return names
+
     def __post_init__(self) -> None:
         """Reject cross-field combinations the fleet cannot run, so a
         malformed spec fails at construction rather than mid-suite."""
         if self.num_clients < 1:
             raise ValueError("FleetSpec.num_clients must be >= 1")
+        networks = self.session_networks()
+        if len(networks) != self.num_clients:
+            raise ValueError(
+                f"network link counts sum to {len(networks)} "
+                f"but the fleet has num_clients={self.num_clients}"
+            )
+        unknown = sorted(set(networks) - set(CHANNELS))
+        if unknown:
+            raise ValueError(f"unknown channel {unknown[0]!r}; pick from {sorted(CHANNELS)}")
         if self.tenants is not None:
             tenancy = TenantDirectory(list(parse_tenants(self.tenants)))
             if tenancy.num_sessions != self.num_clients:
@@ -324,6 +350,16 @@ class FleetSpec:
                     f"fault target {fault.target} out of range for "
                     f"{self.provisioned_servers} server(s)"
                 )
+
+
+# The paper's deployment (Section VI-G) as FleetSpec fields: FIFO
+# service, nothing rejected, shed or degraded (``repro.serve.FIFO_POLICY``).
+FIFO_FLEET = {
+    "policy": FIFO_POLICY,
+    "queue_limit": FIFO_QUEUE_LIMIT,
+    "deadline_horizon": FIFO_DEADLINE_HORIZON,
+    "degrade": False,
+}
 
 
 @dataclass
@@ -354,7 +390,9 @@ def run_fleet(spec: FleetSpec) -> FleetOutcome:
     # One deterministic scene + client per device; independent channel
     # jitter streams spawned from the single experiment seed.
     channel_rngs = spawn_channel_rngs(spec.seed, spec.num_clients)
-    network = scenario.network if scenario is not None else spec.network
+    networks = spec.session_networks()
+    if scenario is not None:  # the scenario owns the network
+        networks = [scenario.network] * spec.num_clients
     chaos = ChaosInjector(faults, tracer=tracer) if (faults or scenario) else None
     sessions = []
     for index in range(spec.num_clients):
@@ -371,12 +409,13 @@ def run_fleet(spec: FleetSpec) -> FleetOutcome:
                 num_frames=spec.num_frames,
                 resolution=spec.resolution,
                 motion_grade=spec.motion_grade,
+                dynamic=spec.dynamic,
                 seed=spec.seed + index,
             )
         client = build_client(
             spec.system, video, seed=spec.seed + index, tracer=tracer
         )
-        channel = make_channel(network, channel_rngs[index])
+        channel = make_channel(networks[index], channel_rngs[index])
         if scenario is not None and apply_network(scenario, channel) and chaos is not None:
             chaos.note(
                 "handoff_scheduled",

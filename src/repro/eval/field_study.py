@@ -17,11 +17,12 @@ edge node — five over WiFi (Dream Glass stand-ins) and three over LTE
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .experiments import ExperimentSpec, run_experiment
+from .experiments import FIFO_FLEET, ExperimentSpec, FleetSpec, run_experiment, run_fleet
 
 __all__ = ["FieldDevice", "FieldStudyResult", "run_field_study"]
 
@@ -63,54 +64,41 @@ def _attention_weight(iou_entry_area: float, image_area: float) -> float:
 
 def _run_devices(num_frames, resolution, seed, shared_server):
     """Run the fleet, either against per-device servers (lab-style) or one
-    shared Xavier (the actual deployment topology)."""
-    if not shared_server:
-        results = {}
-        for device in _fleet():
-            spec = ExperimentSpec(
-                system="edgeis",
-                dataset="oilfield",
-                network=device.network,
-                num_frames=num_frames,
-                resolution=resolution,
-                server_device="jetson_xavier",
-                seed=seed + device.device_id,
-                dynamic=True,  # workers move through the field
-            )
-            results[device.device_id] = run_experiment(spec).result
-        return results
-
-    from ..model.maskrcnn import SimulatedSegmentationModel
-    from ..network.channel import make_channel
-    from ..runtime.multi import ClientSession, MultiClientPipeline
-    from ..runtime.pipeline import EdgeServer
-    from ..serve import fifo_scheduler
-    from .experiments import _make_video, build_client
-
-    sessions = []
-    for device in _fleet():
-        spec = ExperimentSpec(
-            system="edgeis",
-            dataset="oilfield",
-            num_frames=num_frames,
-            resolution=resolution,
-            seed=seed + device.device_id,
-            dynamic=True,
-        )
-        video = _make_video(spec)
-        client = build_client("edgeis", video, seed=seed + device.device_id)
-        channel = make_channel(
-            device.network, np.random.default_rng(seed + 500 + device.device_id)
-        )
-        sessions.append(ClientSession(video=video, client=client, channel=channel))
-    server = EdgeServer(
-        SimulatedSegmentationModel(
-            "mask_rcnn_r101", "jetson_xavier", np.random.default_rng(seed + 999)
-        )
+    shared Xavier (the actual deployment topology).  Workers move through
+    the field, so every scene is dynamic."""
+    devices = _fleet()
+    common = dict(
+        system="edgeis",
+        dataset="oilfield",
+        num_frames=num_frames,
+        resolution=resolution,
+        server_device="jetson_xavier",
+        dynamic=True,
     )
-    scheduler = fifo_scheduler([server], num_sessions=len(sessions))
-    run_results = MultiClientPipeline(sessions, scheduler).run()
-    return {device.device_id: run_results[i] for i, device in enumerate(_fleet())}
+    if shared_server:
+        # The fleet's "name:count" link mix, in device order.
+        network = ",".join(
+            f"{name}:{len(list(group))}"
+            for name, group in groupby(device.network for device in devices)
+        )
+        results = run_fleet(
+            FleetSpec(
+                **FIFO_FLEET,
+                **common,
+                num_clients=len(devices),
+                network=network,
+                warmup_frames=45,
+                seed=seed,
+            )
+        ).results
+    else:
+        results = [
+            run_experiment(
+                ExperimentSpec(**common, network=device.network, seed=seed + device.device_id)
+            ).result
+            for device in devices
+        ]
+    return list(zip(devices, results))
 
 
 def run_field_study(
@@ -132,9 +120,7 @@ def run_field_study(
     judged_weight = 0.0
     false_weight = 0.0
 
-    device_results = _run_devices(num_frames, resolution, seed, shared_server)
-    for device in _fleet():
-        result = device_results[device.device_id]
+    for device, result in _run_devices(num_frames, resolution, seed, shared_server):
         per_device_iou[device.device_id] = result.mean_iou()
         per_device_false[device.device_id] = result.false_rate(0.75)
 

@@ -25,9 +25,8 @@ from ..obs.critical import miss_causes
 from ..obs.kernelbench import KERNEL_NAMES, run_kernel
 from ..obs.slo import FRAME_BUDGET_MS, evaluate_slo
 from ..obs.timeline import DEFAULT_SAMPLE_INTERVAL_MS
-from ..serve import FIFO_DEADLINE_HORIZON, FIFO_POLICY, FIFO_QUEUE_LIMIT
 from ..tenancy.metering import REQUEST_COUNTERS
-from .experiments import ExperimentSpec, FleetSpec, run_experiment, run_fleet
+from .experiments import FIFO_FLEET, ExperimentSpec, FleetSpec, run_experiment, run_fleet
 from .reporting import SCHEMA_VERSION, result_payload
 
 __all__ = [
@@ -129,15 +128,7 @@ SUITES: dict[str, tuple[BenchCell, ...]] = {
     "fleet": (
         # The paper's deployment: 8 clients, one FIFO server, nothing
         # rejected, shed or degraded.
-        BenchCell(
-            "fifo-1srv",
-            FleetSpec(
-                policy=FIFO_POLICY,
-                queue_limit=FIFO_QUEUE_LIMIT,
-                deadline_horizon=FIFO_DEADLINE_HORIZON,
-                degrade=False,
-            ),
-        ),
+        BenchCell("fifo-1srv", FleetSpec(**FIFO_FLEET)),
         # Deadline-aware EDF with bounded queues + MAMT-fallback degrade:
         # must beat fifo-1srv on frame-deadline miss rate.
         BenchCell(

@@ -289,6 +289,9 @@ class FleetScheduler:
             "completed": 0,
             "batches": 0,
             "batched_items": 0,
+            # Members of batches larger than one: the work that shared a
+            # GPU call (``batched_items`` also counts singletons).
+            "shared_items": 0,
             "batch_saved_ms": 0.0,
             "replica_kills": 0,
             "replica_revives": 0,
@@ -724,6 +727,8 @@ class FleetScheduler:
         replica.batched_items += size
         self.counts["batches"] += 1
         self.counts["batched_items"] += size
+        if size > 1:
+            self.counts["shared_items"] += size
         self.counts["batch_saved_ms"] += saved_ms
         self._m_batches.inc()
         self._m_batched_items.inc(size)
@@ -911,7 +916,7 @@ class FleetScheduler:
                 if self.counts["batches"]
                 else 0.0,
                 "batched_fraction": round(
-                    self.counts["batched_items"] / completed, 6
+                    self.counts["shared_items"] / completed, 6
                 )
                 if completed
                 else 0.0,

@@ -600,6 +600,8 @@ class TestFleetExperiment:
             ({"num_clients": 3, "tenants": "gold:premium:2"}, "session counts"),
             ({"scenario": "meteor-strike"}, "unknown scenario"),
             ({"faults": "cosmic-ray"}, "unknown fault program"),
+            ({"network": "wifi_5ghz:5,lte:2"}, "link counts sum to 7"),
+            ({"num_clients": 2, "network": "wifi_5ghz:1,5g:1"}, "unknown channel '5g'"),
         ],
     )
     def test_malformed_spec_fails_at_construction(self, kwargs, message):
@@ -607,6 +609,34 @@ class TestFleetExperiment:
 
         with pytest.raises(ValueError, match=message):
             FleetSpec(**kwargs)
+
+    def test_network_mix_assigns_links_in_session_order(self):
+        from repro.eval.experiments import FleetSpec, run_fleet
+
+        outcome = run_fleet(
+            FleetSpec(num_clients=3, network="wifi_5ghz:2,lte:1", num_frames=3)
+        )
+        assert [s.channel.profile.name for s in outcome.sessions] == [
+            "wifi_5ghz",
+            "wifi_5ghz",
+            "lte",
+        ]
+
+    def test_dynamic_reaches_every_scene(self):
+        from repro.eval.experiments import FleetSpec, run_fleet
+
+        outcome = run_fleet(FleetSpec(num_clients=2, dynamic=True, num_frames=3))
+        assert all(",dyn" in s.video.name for s in outcome.sessions)
+
+    def test_fifo_fleet_is_the_fifo_scheduler(self):
+        from repro.eval.experiments import FIFO_FLEET, FleetSpec, run_fleet
+        from repro.serve import fifo_scheduler
+
+        built = run_fleet(FleetSpec(**FIFO_FLEET, num_clients=1, num_frames=2)).scheduler
+        reference = fifo_scheduler([make_edge_server()], num_sessions=1)
+        assert built.pool.policy.name == reference.pool.policy.name
+        assert built.admission.config == reference.admission.config
+        assert built.degrade.config == reference.degrade.config
 
     def test_channel_rngs_are_independent(self):
         from repro.network import spawn_channel_rngs
@@ -907,6 +937,22 @@ class TestBatchDispatch:
         batched = estimate_after_one(BatchConfig(max_size=3), 4.0)
         assert batched == estimate_after_one(None, 4.0)
         assert batched > estimate_after_one(BatchConfig(max_size=3), 1.0)
+
+    def test_batched_fraction_counts_only_shared_batches(self):
+        scheduler = self.make_scheduler(
+            BatchConfig(window_ms=10.0, max_size=3),
+            admission=AdmissionConfig(deadline_horizon=100.0),
+        )
+        # A pair coalesces inside the window; a later request rides alone.
+        self.submit(scheduler, 0, 0.0)
+        self.submit(scheduler, 1, 1.0)
+        scheduler.advance(10_000.0)
+        self.submit(scheduler, 2, 10_001.0)
+        scheduler.advance(20_000.0)
+        batching = scheduler.stats(20_000.0)["batching"]
+        assert batching["batches"] == 2
+        assert batching["batched_items"] == 3
+        assert batching["batched_fraction"] == round(2 / 3, 6)
 
     def test_stats_report_batching_section(self):
         scheduler = self.make_scheduler(
