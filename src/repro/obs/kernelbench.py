@@ -364,6 +364,28 @@ def _kernel_synthetic_raster(seed: int, repeats: int) -> dict:
     )
 
 
+def _kernel_encoding_block_entropy(seed: int, repeats: int) -> dict:
+    from ..image.frame import _block_entropy_reference, block_entropy
+    from ..synthetic.datasets import make_dataset
+
+    # The tile encoder's input: one QVGA frame's gray raster, 16 px tiles.
+    video = make_dataset("xiph_like", num_frames=60, resolution=(320, 240), seed=seed)
+    gray = video.frame_at(30)[0].gray
+    block = 16
+    vec = block_entropy(gray, block)
+    ref = _block_entropy_reference(gray, block)
+    err = float(np.abs(vec - ref).max())
+    return _cell(
+        "encoding.block_entropy",
+        gray.size,
+        repeats,
+        lambda: block_entropy(gray, block),
+        lambda: _block_entropy_reference(gray, block),
+        err,
+        0.0,
+    )
+
+
 def _kernel_serve_batch_latency(seed: int, repeats: int) -> dict:
     """Deterministic cell: the calibrated batch latency model at the
     fleet's operating point (TX2-scaled fixed cost, the admission
@@ -409,6 +431,7 @@ _KERNELS = {
     "features.hamming": _kernel_features_hamming,
     "vo.oracle_observe": _kernel_vo_oracle_observe,
     "synthetic.raster": _kernel_synthetic_raster,
+    "encoding.block_entropy": _kernel_encoding_block_entropy,
     "serve.batch_latency": _kernel_serve_batch_latency,
 }
 

@@ -270,6 +270,8 @@ class MultiClientPipeline:
                     session,
                     session_index,
                     output.offload,
+                    frame,
+                    truth,
                     now + output.compute_ms,
                     now,
                 )
@@ -334,8 +336,11 @@ class MultiClientPipeline:
             )
         )
 
-    def _dispatch(self, session, session_index, request, send_time_ms, now) -> None:
-        frame, truth = session.video.frame_at(request.frame_index)
+    def _dispatch(
+        self, session, session_index, request, frame, truth, send_time_ms, now
+    ) -> None:
+        """Send ``request`` for the frame the client just processed: its
+        ``(frame, truth)`` come from the step that rendered them."""
         tracer = self.tracer
         ctx = RequestContext(
             session_index, request.frame_index, tenant=self._tenant_of(session_index)

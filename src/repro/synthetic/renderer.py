@@ -15,6 +15,7 @@ triangle with numpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,18 @@ def _face_shades(triangles: np.ndarray) -> np.ndarray:
 
 
 class Renderer:
-    """Renders a list of :class:`SceneObject` through a pinhole camera."""
+    """Renders a list of :class:`SceneObject` through a pinhole camera.
+
+    A triangle whose bounding box holds ``strip_min_box_px`` pixels or
+    more is rasterized in strips of ``strip_rows`` rows, each trimmed to
+    the triangle's extent inside it (see :meth:`_strips`).  Below that
+    size a raster call's fixed cost outweighs what trimming saves; above
+    it the per-pixel cost of one call over the whole box roughly doubles,
+    because its float64 temporaries no longer fit in cache.
+    """
+
+    strip_rows = 32
+    strip_min_box_px = 32768
 
     def __init__(self, camera: PinholeCamera, objects: list[SceneObject]):
         self.camera = camera
@@ -190,18 +202,65 @@ class Renderer:
         setup = np.column_stack(
             [ax, ay, edges.reshape(-1, 4), area, 1.0 / z, uvs[:, :, 0] / z, uvs[:, :, 1] / z]
         )
-        visible = (boxes[:, 1] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 2])
+        box_width = boxes[:, 1] - boxes[:, 0]
+        box_height = boxes[:, 3] - boxes[:, 2]
+        visible = (box_width > 0) & (box_height > 0)
         visible &= ~(np.abs(area) < 1e-9)
+        striped = (box_width * box_height >= self.strip_min_box_px).tolist()
         for index in np.flatnonzero(visible).tolist():
-            self._raster_triangle(
-                boxes[index].tolist(),
-                setup[index].tolist(),
-                scene_object,
-                shades[index],
-                color,
-                depth,
-                label_map,
-            )
+            box = boxes[index].tolist()
+            if striped[index]:
+                strips = self._strips(box, pixels[index].tolist())
+            else:
+                strips = (box,)
+            triangle_setup = setup[index].tolist()
+            for strip in strips:
+                self._raster_triangle(
+                    strip,
+                    triangle_setup,
+                    scene_object,
+                    shades[index],
+                    color,
+                    depth,
+                    label_map,
+                )
+
+    def _strips(self, box: list[int], corners: list[list[float]]) -> list[list[int]]:
+        """Sub-boxes of ``box`` that together hold every pixel the triangle
+        with pixel ``corners`` can draw, one per band of ``strip_rows`` rows.
+
+        A band's x-range shrinks to the triangle's extent between the
+        band's top and bottom pixel edges (half a pixel beyond its outer
+        pixel centres), widened by one pixel, so no pixel the barycentric
+        test draws falls outside its strip; a band the triangle misses is
+        dropped.  That extent is the x-range of the triangle's edges
+        clipped to the band; a horizontal edge adds nothing its two
+        neighbours do not.
+        """
+        x0, x1, y0, y1 = box
+        edges = []
+        for (px, py), (qx, qy) in zip(corners, corners[1:] + corners[:1]):
+            if py != qy:
+                if py > qy:
+                    px, py, qx, qy = qx, qy, px, py
+                edges.append((py, qy, px, (qx - px) / (qy - py)))
+        strips = []
+        for top in range(y0, y1, self.strip_rows):
+            bottom = min(top + self.strip_rows, y1)
+            left, right = math.inf, -math.inf
+            for low, high, px, slope in edges:
+                lo, hi = max(top, low), min(bottom, high)
+                if lo <= hi:
+                    xa = px + (lo - low) * slope
+                    xb = px + (hi - low) * slope
+                    left = min(left, xa, xb)
+                    right = max(right, xa, xb)
+            if left <= right:
+                sx0 = max(x0, math.floor(left) - 1)
+                sx1 = min(x1, math.ceil(right) + 1)
+                if sx1 > sx0:
+                    strips.append([sx0, sx1, top, bottom])
+        return strips
 
     def _clipped_triangles(
         self, triangles: np.ndarray, behind: np.ndarray, face_uvs: np.ndarray

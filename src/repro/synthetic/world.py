@@ -167,8 +167,11 @@ class SyntheticVideo:
     """A 30 fps video stream rendered from a world and a trajectory.
 
     Iterating yields ``(VideoFrame, GroundTruth)`` pairs.  Rendering is
-    lazy and cached per index so that a mobile client and an "offline
-    ground truth" consumer can both walk the same sequence cheaply.
+    lazy and keeps nothing: :meth:`frame_at` renders frame ``index`` on
+    every call, a pure function of the index, so a repeated call returns
+    equal arrays.  The frame loop renders each frame once and hands the
+    pair to whatever needs it in that step (the client and the offload
+    it sends), so a session holds only its live frame.
     """
 
     def __init__(
@@ -187,28 +190,18 @@ class SyntheticVideo:
         self.fps = fps
         self.name = name
         self._renderer = Renderer(camera, world.objects)
-        # Insertion-ordered: the first key is the oldest frame (FIFO).
-        self._cache: dict[int, tuple] = {}
-        self._cache_capacity = 48
 
     def __len__(self) -> int:
         return self.num_frames
 
     def frame_at(self, index: int):
-        """Render (or fetch cached) frame ``index`` -> (frame, ground truth)."""
+        """Render frame ``index`` -> (frame, ground truth)."""
         if index < 0 or index >= self.num_frames:
             raise IndexError(f"frame index {index} out of range [0, {self.num_frames})")
-        if index in self._cache:
-            return self._cache[index]
         time = index / self.fps
         pose_cw = self.trajectory.pose_cw(time)
         result = self._renderer.render(pose_cw, time, frame_index=index)
-        truth = self.world.ground_truth_from_render(result)
-        value = (result.frame, truth)
-        self._cache[index] = value
-        if len(self._cache) > self._cache_capacity:
-            del self._cache[next(iter(self._cache))]
-        return value
+        return result.frame, self.world.ground_truth_from_render(result)
 
     def __iter__(self) -> Iterator[tuple]:
         for index in range(self.num_frames):

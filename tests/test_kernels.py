@@ -31,6 +31,7 @@ from repro.geometry.bundle_adjustment import (
     _score_hypotheses_reference,
 )
 from repro.geometry.camera import PinholeCamera
+from repro.image.frame import _block_entropy_reference, block_entropy
 from repro.geometry.se3 import SE3
 from repro.geometry.triangulation import reprojection_errors_batch
 from repro.model.acceleration import InferenceInstruction
@@ -44,6 +45,7 @@ from repro.synthetic import (
     Renderer,
     SceneObject,
     StaticMotion,
+    TriangleMesh,
     World,
     default_camera,
     make_box_mesh,
@@ -407,6 +409,122 @@ class TestRenderer:
             assert result.visible_instance_ids == expected
 
 
+def forced_strips(renderer, rows):
+    """Send every triangle through the strip raster, in bands of ``rows``."""
+    renderer.strip_min_box_px = 0
+    renderer.strip_rows = rows
+    return renderer
+
+
+STRIP_ROWS = (1, 7, 32)
+
+
+class TestStripRaster:
+    """The strip path against the per-face, full-box reference: the
+    trimmed strips must hold every pixel the whole box would draw."""
+
+    @pytest.mark.parametrize("rows", STRIP_ROWS)
+    @pytest.mark.parametrize("resolution", [(320, 240), (160, 120)])
+    @pytest.mark.parametrize("dataset", DATASET_NAMES)
+    def test_matches_reference(self, dataset, resolution, rows):
+        video = make_dataset(dataset, num_frames=300, resolution=resolution, seed=3)
+        renderer = forced_strips(Renderer(video.camera, video.world.objects), rows)
+        for index in (0, 299):
+            time = index / video.fps
+            fast, reference = render_both(
+                renderer, video.trajectory.pose_cw(time), time, index
+            )
+            assert_same_render(fast, reference)
+
+    @pytest.mark.parametrize("rows", STRIP_ROWS)
+    def test_near_plane_clipped_fans(self, rows):
+        camera = default_camera((160, 120))
+        box = SceneObject(
+            1, "box", make_box_mesh((1.0, 1.0, 1.0)),
+            ProceduralTexture((150, 60, 60), seed=1),
+        )
+        floor = SceneObject(
+            0, "floor", make_plane_mesh(20.0, 20.0),
+            ProceduralTexture((90, 90, 90), seed=2),
+        )
+        renderer = forced_strips(Renderer(camera, [floor, box]), rows)
+        for z in (0.3, 0.45, 0.52):
+            fast, reference = render_both(renderer, SE3(np.eye(3), [0.1, -0.6, z]), 0.0)
+            assert_same_render(fast, reference)
+            assert (fast.label_map == 1).any()
+
+    @pytest.mark.parametrize("rows", STRIP_ROWS)
+    def test_lighting_flip_wrapper_texture(self, rows):
+        spec = make_scenario("lighting-flip")
+        video = build_video(spec, 60, resolution=(160, 120), seed=2)
+        renderer = forced_strips(Renderer(video.camera, video.world.objects), rows)
+        shift_index = int(spec.lighting_shift_at_s * video.fps)
+        for index in (shift_index - 1, shift_index + 5):
+            time = index / video.fps
+            fast, reference = render_both(
+                renderer, video.trajectory.pose_cw(time), time, index
+            )
+            assert_same_render(fast, reference)
+
+    @pytest.mark.parametrize("rows", STRIP_ROWS)
+    def test_vertices_on_strip_boundaries(self, rows):
+        # A one-face mesh whose projected corners land exactly on pixel
+        # edges at multiples of ``rows`` (and on a horizontal top edge):
+        # the band limits meet the triangle only at its vertices.
+        # A unit camera at depth 1 projects (x, y, 1) to pixel (x, y) exactly.
+        camera = PinholeCamera(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=160, height=120)
+        bottom = float(rows * (98 // rows))
+        vertices = np.array([[5.0, 0.0, 1.0], [150.0, 0.0, 1.0], [70.0, bottom, 1.0]])
+        mesh = TriangleMesh(
+            vertices=vertices,
+            faces=np.array([[0, 1, 2]]),
+            face_uvs=np.array([[[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]]),
+        )
+        tri = SceneObject(1, "tri", mesh, ProceduralTexture((200, 40, 40), seed=4))
+        renderer = forced_strips(Renderer(camera, [tri]), rows)
+        pixels, _ = camera.project(vertices)
+        assert np.array_equal(pixels, vertices[:, :2])
+        fast, reference = render_both(renderer, SE3(np.eye(3), np.zeros(3)), 0.0)
+        assert_same_render(fast, reference)
+        assert (fast.label_map == 1).sum() > 1000
+
+    def test_strips_trim_and_partition_the_box(self):
+        renderer = Renderer(default_camera((320, 240)), [])
+        renderer.strip_rows = 32
+        box = [0, 320, 25, 240]
+        corners = [[444.3, 44.6], [-200.9, 25.6], [-249.0, 409.6]]
+        strips = renderer._strips(box, corners)
+        # Bands tile the box's rows in order, each within the box.
+        assert [s[2] for s in strips] == list(range(25, 240, 32))
+        assert [s[3] for s in strips] == [*range(57, 240, 32), 240]
+        assert all(0 <= s[0] < s[1] <= 320 for s in strips)
+        # The triangle narrows towards the bottom, so the strips do too.
+        assert strips[-1][1] < 320
+        assert sum((s[1] - s[0]) * (s[3] - s[2]) for s in strips) < 0.85 * 320 * 215
+
+    def test_strips_drop_bands_the_triangle_misses(self):
+        # Inside the box's rows the triangle lies right of the screen.
+        renderer = Renderer(default_camera((320, 240)), [])
+        corners = [[-107.8, -7577.7], [416.1, 107.3], [153792.1, -7577.7]]
+        assert renderer._strips([0, 320, 0, 109], corners) == []
+
+    def test_large_boxes_take_the_strip_path_by_default(self, monkeypatch):
+        video = make_dataset("xiph_like", num_frames=1, resolution=(320, 240))
+        renderer = Renderer(video.camera, video.world.objects)
+        calls = []
+        original = Renderer._strips
+        monkeypatch.setattr(
+            Renderer,
+            "_strips",
+            lambda self, box, corners: calls.append(box) or original(self, box, corners),
+        )
+        renderer.render(video.trajectory.pose_cw(0.0), 0.0)
+        assert calls
+        assert all(
+            (b[1] - b[0]) * (b[3] - b[2]) >= Renderer.strip_min_box_px for b in calls
+        )
+
+
 class TestTextureSample:
     @pytest.mark.parametrize("tile_size", [5, 17, 96])
     def test_matches_reference(self, tile_size):
@@ -449,6 +567,55 @@ def random_descriptors(rng, n, base=None, flips=0):
         for bit in rng.integers(0, 256, flips):
             row[bit // 8] ^= np.uint8(1 << (bit % 8))
     return out
+
+
+class TestBlockEntropy:
+    """One bin pass and one ``bincount`` against one ``np.histogram`` per
+    block: bit-identical, including values the histogram drops."""
+
+    EDGES = np.linspace(0.0, 255.0, 33, dtype=np.float32)
+
+    @staticmethod
+    def assert_same(gray, block):
+        fast, reference = block_entropy(gray, block), _block_entropy_reference(gray, block)
+        assert fast.dtype == reference.dtype == np.float32
+        assert fast.shape == reference.shape
+        assert np.array_equal(fast, reference)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_random_shapes(self, seed):
+        # Partial blocks on both axes, values inside and outside the range.
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 80, size=2))
+        low, high = (0.0, 255.0) if seed % 2 else (-30.0, 290.0)
+        gray = rng.uniform(low, high, shape).astype(np.float32)
+        self.assert_same(gray, int(rng.choice([3, 8, 16, 32])))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_values_on_and_beside_bin_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        edges = rng.choice(self.EDGES, (48, 40))
+        beside = np.nextafter(edges, np.where(rng.random(edges.shape) < 0.5, -1e9, 1e9).astype(np.float32))
+        gray = np.where(rng.random(edges.shape) < 0.5, edges, beside).astype(np.float32)
+        self.assert_same(gray, 16)
+
+    def test_nan_inf_and_integer_images(self):
+        rng = np.random.default_rng(3)
+        gray = rng.integers(0, 256, (40, 36)).astype(np.float32)
+        gray[0, :5] = np.nan
+        gray[5, :3] = np.inf
+        gray[7, 2] = -np.inf
+        gray[16:32, 16:32] = np.nan  # a block the histogram drops entirely
+        self.assert_same(gray, 16)
+        self.assert_same(rng.integers(0, 256, (33, 50)), 16)
+
+    def test_flat_and_empty(self):
+        self.assert_same(np.full((20, 30), 100.0, dtype=np.float32), 16)
+        self.assert_same(np.zeros((0, 30), dtype=np.float32), 16)
+
+    def test_rendered_frame(self):
+        frame, _ = make_dataset("oilfield", num_frames=1, resolution=(160, 120)).frame_at(0)
+        self.assert_same(frame.gray, 16)
 
 
 class TestHammingDistance:

@@ -244,27 +244,62 @@ class TestWorldAndVideo:
         moved = positions2 - positions0
         assert np.allclose(moved[:, 0], 2.0, atol=1e-9)
 
-    def test_video_iteration_and_cache(self):
+    def test_video_iteration_and_repeatable_frames(self):
         video = make_dataset("davis_like", num_frames=3, resolution=(160, 120))
         frames = list(video)
         assert len(frames) == 3
-        # Cached: same object identity on second access.
-        again, _ = video.frame_at(1)
-        assert again is frames[1][0]
+        # Nothing is kept: a repeated request renders the frame again,
+        # and the same index gives the same arrays.
+        again, truth = video.frame_at(1)
+        first, first_truth = frames[1]
+        assert again is not first
+        assert again.index == first.index == 1
+        assert np.array_equal(again.image, first.image)
+        assert np.array_equal(truth.label_map, first_truth.label_map)
+        assert np.array_equal(truth.depth, first_truth.depth)
+        assert [m.instance_id for m in truth.masks] == [
+            m.instance_id for m in first_truth.masks
+        ]
+        for mask, first_mask in zip(truth.masks, first_truth.masks):
+            assert np.array_equal(mask.mask, first_mask.mask)
 
-    def test_video_cache_evicts_oldest_first(self):
-        video = make_dataset("davis_like", num_frames=5, resolution=(96, 72))
-        assert video._cache_capacity == 48
-        video._cache_capacity = 2
-        first, _ = video.frame_at(0)
-        second, _ = video.frame_at(1)
-        # A hit does not refresh a frame's place: eviction is FIFO.
-        assert video.frame_at(0)[0] is first
-        video.frame_at(2)
-        assert list(video._cache) == [1, 2]
-        assert video.frame_at(1)[0] is second
-        assert video.frame_at(0)[0] is not first
+    @pytest.mark.parametrize("runner", ["experiment", "fleet"])
+    def test_each_session_renders_each_frame_once(self, runner, monkeypatch):
+        # The frame loop hands the frame it rendered to the offload it
+        # sends, so requests and renders both count frames x sessions.
+        from repro.eval.experiments import (
+            ExperimentSpec,
+            FleetSpec,
+            run_experiment,
+            run_fleet,
+        )
 
+        counts = {"frame_at": 0, "render": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        counted(SyntheticVideo, "frame_at")
+        counted(Renderer, "render")
+        frames = 12
+        common = dict(
+            system="edge_best_effort",
+            num_frames=frames,
+            resolution=(96, 72),
+            warmup_frames=0,
+        )
+        if runner == "experiment":
+            results = [run_experiment(ExperimentSpec(**common)).result]
+        else:
+            results = run_fleet(FleetSpec(num_clients=2, **common)).results
+        assert sum(result.offload_count for result in results) > 0
+        assert counts == {"frame_at": frames * len(results), "render": frames * len(results)}
     def test_video_index_bounds(self):
         video = make_dataset("davis_like", num_frames=3, resolution=(160, 120))
         with pytest.raises(IndexError):
