@@ -13,11 +13,11 @@ import numpy as np
 
 from repro.core import SystemConfig
 from repro.encoding import CFRSConfig
-from repro.eval import ExperimentSpec, Table
-from repro.eval.experiments import _make_video
+from repro.eval import Table
 from repro.model import SimulatedSegmentationModel
 from repro.network import make_channel
 from repro.runtime import EdgeServer, Pipeline
+from repro.synthetic import make_dataset
 
 THRESHOLDS = (0.05, 0.15, 0.25, 0.5, 0.8)
 
@@ -25,8 +25,7 @@ THRESHOLDS = (0.05, 0.15, 0.25, 0.5, 0.8)
 def _run_with_threshold(threshold: float, num_frames: int, seed: int):
     from repro.core.system import EdgeISSystem
 
-    spec = ExperimentSpec(system="edgeis", dataset="kitti_like", num_frames=num_frames, seed=seed)
-    video = _make_video(spec)
+    video = make_dataset("kitti_like", num_frames=num_frames, seed=seed)
     config = SystemConfig(seed=seed, cfrs=CFRSConfig(unlabeled_threshold=threshold))
     client = EdgeISSystem(
         video.camera,

@@ -13,11 +13,11 @@ import numpy as np
 from repro.core import SystemConfig
 from repro.core.system import EdgeISSystem
 from repro.encoding import CFRSConfig
-from repro.eval import ExperimentSpec, Table
-from repro.eval.experiments import _make_video
+from repro.eval import Table
 from repro.model import SimulatedSegmentationModel
 from repro.network import make_channel
 from repro.runtime import EdgeServer, Pipeline
+from repro.synthetic import make_dataset
 
 INTERVALS = (10, 20, 40, 80)
 
@@ -25,10 +25,7 @@ INTERVALS = (10, 20, 40, 80)
 def run_offload_ablation(num_frames: int = 180, seed: int = 0, quiet: bool = False) -> dict:
     summary: dict[int, dict[str, float]] = {}
     for interval in INTERVALS:
-        spec = ExperimentSpec(
-            system="edgeis", dataset="davis_like", num_frames=num_frames, seed=seed
-        )
-        video = _make_video(spec)
+        video = make_dataset("davis_like", num_frames=num_frames, seed=seed)
         config = SystemConfig(
             seed=seed, cfrs=CFRSConfig(max_interval_frames=interval)
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.eval import ExperimentSpec, run_experiment
+from repro.eval import ExperimentSpec
 from repro.image import InstanceMask
 
 
@@ -48,12 +48,15 @@ def main() -> None:
     video_frames: dict[int, list[InstanceMask]] = {}
 
     # Capture rendered masks by wrapping the client.
-    from repro.eval.experiments import _make_video, build_client
+    from repro.eval import build_client
     from repro.model import SimulatedSegmentationModel
     from repro.network import make_channel
     from repro.runtime import EdgeServer, Pipeline
+    from repro.synthetic import make_dataset
 
-    video = _make_video(spec)
+    video = make_dataset(
+        spec.dataset, num_frames=spec.num_frames, dynamic=spec.dynamic, seed=spec.seed
+    )
     client = build_client(spec.system, video, seed=spec.seed)
     original = client.process_frame
 

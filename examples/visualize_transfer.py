@@ -16,19 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.eval.experiments import ExperimentSpec, _make_video, build_client
+from repro.eval import build_client
 from repro.image import mask_iou, overlay_masks, save_ppm
 from repro.model import SimulatedSegmentationModel
 from repro.network import make_channel
 from repro.runtime import EdgeServer, Pipeline
+from repro.synthetic import make_dataset
 
 
 def main() -> None:
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results/transfer_viz")
-    spec = ExperimentSpec(
-        system="edgeis", dataset="davis_like", num_frames=150, dynamic=True
-    )
-    video = _make_video(spec)
+    num_frames = 150
+    video = make_dataset("davis_like", num_frames=num_frames, dynamic=True)
     client = build_client("edgeis", video)
 
     captured: dict[int, list] = {}
@@ -45,7 +44,7 @@ def main() -> None:
     result = Pipeline(video, client, channel, server).run()
 
     saved = 0
-    for frame_index in range(45, spec.num_frames, 15):
+    for frame_index in range(45, num_frames, 15):
         frame, truth = video.frame_at(frame_index)
         predictions = captured.get(frame_index, [])
         left = overlay_masks(frame.image, predictions)

@@ -37,6 +37,8 @@ _QUALITY_FACTOR = {
     TileQuality.MEDIUM: 0.22,
     TileQuality.HIGH: 0.55,
 }
+# The same factors indexed by quality level, for whole quality maps.
+_FACTOR_BY_QUALITY = np.array([_QUALITY_FACTOR[q] for q in TileQuality], dtype=np.float64)
 
 # Offloaded frames are encoded at the device's *capture* resolution
 # (720p-1080p in the paper's deployment), not at the simulation raster.
@@ -147,8 +149,7 @@ def encode_frame(
     if quality_map.shape != entropy.shape:
         raise ValueError("quality map shape mismatch")
     pixel_counts = grid.tile_pixel_counts()
-    factors = np.vectorize(lambda q: _QUALITY_FACTOR[TileQuality(int(q))])(quality_map)
-    bits = entropy * factors * pixel_counts * CAPTURE_SCALE
+    bits = entropy * _FACTOR_BY_QUALITY[quality_map] * pixel_counts * CAPTURE_SCALE
     return EncodedFrame(
         frame_index=frame_index,
         quality_map=quality_map.astype(int),

@@ -7,7 +7,6 @@ from .experiments import (
     ExperimentSpec,
     build_client,
     run_experiment,
-    run_grid,
 )
 from .reporting import SCHEMA_VERSION, Table, format_cdf, result_payload, save_json
 from .field_study import FieldDevice, FieldStudyResult, run_field_study
@@ -20,7 +19,6 @@ __all__ = [
     "ExperimentSpec",
     "build_client",
     "run_experiment",
-    "run_grid",
     "SCHEMA_VERSION",
     "Table",
     "format_cdf",

@@ -26,7 +26,7 @@ from ..obs.kernelbench import KERNEL_NAMES, run_kernel
 from ..obs.slo import FRAME_BUDGET_MS, evaluate_slo
 from ..obs.timeline import DEFAULT_SAMPLE_INTERVAL_MS
 from ..tenancy.metering import REQUEST_COUNTERS
-from .experiments import FIFO_FLEET, ExperimentSpec, FleetSpec, run_experiment, run_fleet
+from .experiments import FIFO_FLEET, ExperimentSpec, FleetSpec, run_fleet
 from .reporting import SCHEMA_VERSION, result_payload
 
 __all__ = [
@@ -364,14 +364,8 @@ def run_cell(
     if cell.slo_target is not None:
         slo_target = cell.slo_target
     fleet = isinstance(spec, FleetSpec)
-    if fleet:
-        outcome = run_fleet(spec)
-        results = outcome.results
-        duration = outcome.duration_ms
-    else:
-        outcome = run_experiment(spec)
-        results = [outcome.result]
-        duration = outcome.result.duration_ms
+    outcome = run_fleet(spec)
+    results, duration = outcome.results, outcome.duration_ms
     tracer = outcome.tracer
     warmup = spec.warmup_frames
     counters = tracer.metrics.snapshot()["counters"]
@@ -388,7 +382,7 @@ def run_cell(
         "result": (
             _fleet_result(results, offload, duration, spec.provisioned_servers)
             if fleet
-            else result_payload(outcome.result)
+            else result_payload(results[0])
         ),
         "stages": stage_percentiles(tracer),
         "slo": evaluate_slo(tracer, budget_ms=budget_ms, warmup_frames=warmup),

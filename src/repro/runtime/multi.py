@@ -10,8 +10,9 @@ inference.  The paper's deployment is the scheduler's FIFO configuration
 (:func:`~repro.serve.scheduler.fifo_scheduler`); the ``repro.serve``
 policy layer adds N replicas, pluggable placement, bounded
 deadline-checked admission, shedding and MAMT-fallback degradation (see
-``docs/serving.md``).  A single-client
-:class:`~repro.runtime.pipeline.Pipeline` run is the one-session case
+``docs/serving.md``).  A single-client run
+(``repro.eval.experiments.run_experiment``, or a hand-built
+:class:`~repro.runtime.pipeline.Pipeline`) is the one-session case
 against a FIFO scheduler of one replica, traced on the unindexed
 ``client``/``channel`` lanes.
 
@@ -39,6 +40,9 @@ from .pipeline import (
 )
 
 __all__ = ["ClientSession", "MultiClientPipeline"]
+
+# Ground-truth objects smaller than this many pixels are not scored.
+MIN_GT_AREA = 200
 
 
 @dataclass
@@ -68,9 +72,7 @@ class MultiClientPipeline:
         sessions: list[ClientSession],
         scheduler,
         warmup_frames: int = 45,
-        min_gt_area: int = 200,
         tracer: Tracer | None = None,
-        deadline_budget_ms: float | None = None,
         sampler=None,
         chaos=None,
         autoscaler=None,
@@ -91,9 +93,6 @@ class MultiClientPipeline:
         # A repro.serve FleetScheduler.
         self.scheduler = scheduler
         self.warmup_frames = warmup_frames
-        self.min_gt_area = min_gt_area
-        # Per-frame display deadline; None = one frame interval.
-        self.deadline_budget_ms = deadline_budget_ms
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if self.tracer.enabled and not scheduler.tracer.enabled:
             scheduler.attach_tracer(self.tracer)
@@ -125,6 +124,7 @@ class MultiClientPipeline:
                 session.channel_lane = f"channel{index}"
         # Last offload-mode pushed to each client.
         self._offload_enabled = [True] * len(self.sessions)
+        # The per-frame display deadline: one frame interval.
         self._frame_interval = 1000.0 / self.sessions[0].video.fps
 
     def run(self) -> list[RunResult]:
@@ -288,11 +288,6 @@ class MultiClientPipeline:
                 busy_until_ms=round(session.busy_until_ms, 6),
             )
 
-        deadline_ms = (
-            self.deadline_budget_ms
-            if self.deadline_budget_ms is not None
-            else frame_interval
-        )
         self.pm.frames.inc()
         self.pm.frame_latency.observe(latency)
         if self._latency_ewma is None:
@@ -300,7 +295,7 @@ class MultiClientPipeline:
         else:
             self._latency_ewma += 0.2 * (latency - self._latency_ewma)
         self.pm.latency_ewma.set(self._latency_ewma)
-        if latency > deadline_ms:
+        if latency > frame_interval:
             self.pm.deadline_miss.inc()
             if tracer.enabled:
                 tracer.event(
@@ -309,15 +304,15 @@ class MultiClientPipeline:
                     frame=frame_index,
                     ctx=frame_ctx,
                     latency_ms=round(latency, 6),
-                    budget_ms=round(deadline_ms, 6),
-                    over_ms=round(latency - deadline_ms, 6),
+                    budget_ms=round(frame_interval, 6),
+                    over_ms=round(latency - frame_interval, 6),
                     processed=processed,
                 )
 
         rendered = {m.instance_id: m for m in session.last_masks}
         object_ious, object_areas = {}, {}
         for gt in truth.masks:
-            if gt.area < self.min_gt_area:
+            if gt.area < MIN_GT_AREA:
                 continue
             prediction = rendered.get(gt.instance_id)
             object_ious[gt.instance_id] = (
@@ -374,11 +369,6 @@ class MultiClientPipeline:
                 **_channel_transfer_attrs(session.channel),
             )
 
-        budget_ms = (
-            self.deadline_budget_ms
-            if self.deadline_budget_ms is not None
-            else self._frame_interval
-        )
         admitted, _status = self.scheduler.submit(
             session_index,
             request,
@@ -386,7 +376,7 @@ class MultiClientPipeline:
             frame.shape,
             send_time_ms,
             arrive,
-            budget_ms,
+            self._frame_interval,
             now,
         )
         if not admitted:

@@ -1,7 +1,7 @@
 """The mobile/edge pipeline: a per-frame discrete-event simulation.
 
 This module holds the edge server, the per-frame and per-run result
-types, and :class:`Pipeline`, the single-client entry point.  The frame
+types, and :class:`Pipeline`, which runs a hand-built client.  The frame
 loop itself lives in :mod:`repro.runtime.multi`; a single-client run is
 its one-session case against the FIFO scheduler of one replica
 (:func:`repro.serve.scheduler.fifo_scheduler`).  Timeline per captured
@@ -402,10 +402,7 @@ class Pipeline:
         channel: Channel,
         server: EdgeServer,
         warmup_frames: int = 45,
-        min_gt_area: int = 200,
         tracer: Tracer | None = None,
-        deadline_budget_ms: float | None = None,
-        sampler=None,
     ):
         # Imported here: the fleet loop and the scheduler build on this
         # module's types.
@@ -424,10 +421,7 @@ class Pipeline:
             [self.session],
             self.scheduler,
             warmup_frames=warmup_frames,
-            min_gt_area=min_gt_area,
             tracer=tracer,
-            deadline_budget_ms=deadline_budget_ms,
-            sampler=sampler,
         )
 
     def run(self) -> RunResult:

@@ -2,8 +2,8 @@
 
 Every offload request carries a hard deadline — the last simulated
 moment its result can still influence a displayed frame, derived from
-the pipeline's ``deadline_budget_ms`` (one frame interval by default)
-times a usefulness horizon measured in frame budgets.  The paper's
+the pipeline's per-frame display budget (one frame interval) times a
+usefulness horizon measured in frame budgets.  The paper's
 deployment is one unbounded, deadline-blind FIFO queue; the scheduler's
 FIFO configuration (:func:`repro.serve.scheduler.fifo_scheduler`) sets
 the bound and the horizon beyond reach, so this controller admits

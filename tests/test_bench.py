@@ -363,14 +363,14 @@ class TestBenchCli:
         """One ``bench run`` writes BENCH, REPORT md/html and WHY from a
         single simulation of each traced cell."""
         calls = []
-        for name in ("run_experiment", "run_fleet"):
-            real = getattr(suites_mod, name)
+        real = suites_mod.run_fleet
 
-            def counted(spec, real=real):
-                calls.append(spec)
-                return real(spec)
+        def counted(spec):
+            calls.append(spec)
+            return real(spec)
 
-            monkeypatch.setattr(suites_mod, name, counted)
+        # run_cell runs every spec, single-client or fleet, through run_fleet.
+        monkeypatch.setattr(suites_mod, "run_fleet", counted)
         code = cli_main(
             ["bench", "run", "--suite", "micro", "--label", "t",
              "--out", str(tmp_path)]

@@ -108,6 +108,35 @@ class TestEncodeFrame:
         with pytest.raises(ValueError):
             encode_frame(gray, np.zeros((3, 3), dtype=int), grid)
 
+    def test_quality_lookup_gives_exact_factors(self):
+        from repro.encoding.tiles import (
+            _FACTOR_BY_QUALITY,
+            _QUALITY_FACTOR,
+            CAPTURE_SCALE,
+        )
+        from repro.image.frame import block_entropy
+
+        gray = textured_gray()
+        grid = TileGrid(240, 320, 16)
+        # Every TileQuality level appears in the map.
+        qualities = np.arange(grid.rows * grid.cols).reshape(grid.rows, grid.cols) % 4
+        factors = _FACTOR_BY_QUALITY[qualities]
+        assert factors.dtype == np.float64
+        assert factors.tolist() == [
+            [_QUALITY_FACTOR[TileQuality(q)] for q in row] for row in qualities.tolist()
+        ]
+        # encode_frame sizes tiles with exactly these factors: the
+        # per-tile Enum lookup it replaced gives byte-identical sizes.
+        reference = np.vectorize(lambda q: _QUALITY_FACTOR[TileQuality(int(q))])(qualities)
+        expected = (
+            block_entropy(gray, grid.tile_size)
+            * reference
+            * grid.tile_pixel_counts()
+            * CAPTURE_SCALE
+            / 8.0
+        )
+        np.testing.assert_array_equal(encode_frame(gray, qualities, grid).tile_bytes, expected)
+
 
 class TestCFRSDecisions:
     def make_selector(self, **kwargs):

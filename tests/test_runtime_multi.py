@@ -6,25 +6,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.eval.experiments import ExperimentSpec, _make_video, build_client
+from repro.eval.experiments import build_client
 from repro.model import SimulatedSegmentationModel
 from repro.network import make_channel
 from repro.obs.trace import Tracer
 from repro.runtime import ClientSession, EdgeServer, MultiClientPipeline, Pipeline
 from repro.serve import fifo_scheduler
+from repro.synthetic import make_dataset
 
 
 def make_sessions(count, system="edge_best_effort", frames=40, resolution=(160, 120)):
     sessions = []
     for index in range(count):
-        spec = ExperimentSpec(
-            system=system,
-            dataset="xiph_like",
-            num_frames=frames,
-            resolution=resolution,
-            seed=index,
+        video = make_dataset(
+            "xiph_like", num_frames=frames, resolution=resolution, seed=index
         )
-        video = _make_video(spec)
         client = build_client(system, video, seed=index)
         channel = make_channel("wifi_5ghz", np.random.default_rng(index))
         sessions.append(ClientSession(video=video, client=client, channel=channel))
@@ -43,14 +39,7 @@ def make_scheduler(num_sessions):
 
 def _run_one(system, fleet, frames=60, seed=3):
     """One traced single-client run, through Pipeline or a fleet of one."""
-    spec = ExperimentSpec(
-        system=system,
-        dataset="xiph_like",
-        num_frames=frames,
-        resolution=(160, 120),
-        seed=seed,
-    )
-    video = _make_video(spec)
+    video = make_dataset("xiph_like", num_frames=frames, resolution=(160, 120), seed=seed)
     tracer = Tracer()
     client = build_client(system, video, seed=seed, tracer=tracer)
     channel = make_channel("wifi_5ghz", np.random.default_rng(seed))

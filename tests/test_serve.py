@@ -509,15 +509,10 @@ class TestFleetScheduler:
 
 class TestClientCapabilities:
     def make_client(self):
-        from repro.eval.experiments import ExperimentSpec, _make_video, build_client
+        from repro.eval.experiments import build_client
+        from repro.synthetic import make_dataset
 
-        spec = ExperimentSpec(
-            system="baseline+mamt",
-            num_frames=10,
-            resolution=(160, 120),
-            seed=0,
-        )
-        video = _make_video(spec)
+        video = make_dataset("xiph_like", num_frames=10, resolution=(160, 120), seed=0)
         return build_client("baseline+mamt", video, seed=0), video
 
     def test_offload_disabled_suppresses_attempts(self):
@@ -697,13 +692,12 @@ class TestFifoConfiguration:
         assert stats["submitted"] == stats["completed"] + stats["left_in_queue"]
 
     def pipeline(self, system, num_frames=120, tracer=None):
-        from repro.eval.experiments import ExperimentSpec, _make_video, build_client
+        from repro.eval.experiments import build_client
         from repro.network import make_channel
         from repro.runtime import Pipeline
+        from repro.synthetic import make_dataset
 
-        video = _make_video(
-            ExperimentSpec(system, num_frames=num_frames, resolution=(160, 120))
-        )
+        video = make_dataset("xiph_like", num_frames=num_frames, resolution=(160, 120))
         return Pipeline(
             video,
             build_client(system, video, tracer=tracer),
