@@ -293,9 +293,11 @@ class EdgeISSystem:
             )
         unmatched = self._unmatched_pixels(frame, result)
         if self.config.use_cfrs:
+            # One scene depth per decision (it walks the map); none without
+            # objects, as scene_depth fixes its scale on first use.
+            scale = max(self.vo.scene_depth(), 1e-6) if self.vo.objects else 1.0
             motion = {
-                instance_id: track.accumulated_motion
-                / max(self.vo.scene_depth(), 1e-6)
+                instance_id: track.accumulated_motion / scale
                 for instance_id, track in self.vo.objects.items()
             }
             decision = self.selector.decide(
@@ -375,16 +377,11 @@ class EdgeISSystem:
         )
 
     def _unmatched_pixels(self, frame, result) -> np.ndarray:
-        if len(result.matched_point_ids) == 0:
-            return np.zeros((0, 2))
-        unmatched_rows = []
-        for feature_index, point_id in enumerate(result.matched_point_ids):
-            if point_id < 0:
-                unmatched_rows.append(feature_index)
-                continue
-            if point_id in self.vo.map and self.vo.map.get(int(point_id)).is_unlabeled:
-                unmatched_rows.append(feature_index)
-        if not unmatched_rows:
+        matched = result.matched_point_ids
+        unmatched_rows = np.flatnonzero(
+            (matched < 0) | self.vo.map.unlabeled_mask(matched)
+        )
+        if not len(unmatched_rows):
             return np.zeros((0, 2))
         # Recover pixels from the VO's recent-frame buffer.
         recent = self.vo._find_recent(frame.index)

@@ -85,6 +85,26 @@ def _residuals_and_jacobian_reference(
     return residuals, jacobian, valid
 
 
+def _residuals(
+    camera: PinholeCamera,
+    pose_cw: SE3,
+    points_world: np.ndarray,
+    pixels: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(camera-frame points, (N, 2) pixel residuals, safe depths, valid):
+    the residual half of :func:`_residuals_and_jacobian`."""
+    points_camera = pose_cw.transform(points_world)
+    depths = points_camera[:, 2]
+    valid = depths > 1e-6
+    safe_z = np.where(valid, depths, 1.0)
+    residuals = (
+        np.array([camera.fx, camera.fy]) * points_camera[:, :2] / safe_z[:, None]
+        + np.array([camera.cx, camera.cy])
+        - pixels
+    )
+    return points_camera, residuals, safe_z, valid
+
+
 def _residuals_and_jacobian(
     camera: PinholeCamera,
     pose_cw: SE3,
@@ -94,49 +114,43 @@ def _residuals_and_jacobian(
     """Stacked 2N residuals and the (2N, 6) Jacobian w.r.t. a left twist.
 
     The update convention is ``T <- exp(xi) @ T`` with twist ordering
-    (rho, omega), so d(P_c)/d(xi) = [I | -skew(P_c)].  The rotational
-    block is written column-slice-wise over the whole batch — no
-    per-point :func:`skew` calls (see
-    :func:`_residuals_and_jacobian_reference`).
+    (rho, omega), so d(P_c)/d(xi) = [I | -skew(P_c)], with -skew([x, y, z])
+    = [[0, z, -y], [-z, 0, x], [y, -x, 0]].  The pixel block d(pixel)/d(P_c)
+    is [[a, 0, b], [0, c, d]], so each Jacobian entry is written in closed
+    form from at most two products:
+
+        row 0: [a, 0, b, b*y, a*z + b*(-x), a*(-y)]
+        row 1: [0, c, d, c*(-z) + d*y, d*(-x), c*x]
+
+    The reference's ``einsum`` sums three terms left to right from zero,
+    the dropped term being a signed zero; adding ``0.0`` at the end turns
+    a ``-0.0`` into ``+0.0`` the same way, so this is bit for bit
+    :func:`_residuals_and_jacobian_reference`.
     """
-    points_camera = pose_cw.transform(points_world)
-    depths = points_camera[:, 2]
-    valid = depths > 1e-6
-    safe_z = np.where(valid, depths, 1.0)
-
-    u = camera.fx * points_camera[:, 0] / safe_z + camera.cx
-    v = camera.fy * points_camera[:, 1] / safe_z + camera.cy
-    residuals = np.stack([u - pixels[:, 0], v - pixels[:, 1]], axis=1)
-
+    points_camera, residuals, safe_z, valid = _residuals(
+        camera, pose_cw, points_world, pixels
+    )
+    focal = np.array([camera.fx, camera.fy])
     inv_z = 1.0 / safe_z
-    x_over_z = points_camera[:, 0] * inv_z
-    y_over_z = points_camera[:, 1] * inv_z
+    # d(pixel)/d(P_c): diagonal (a, c) and last column (b, d) per point.
+    diagonal = focal * inv_z[:, None]
+    last_column = -focal * (points_camera[:, :2] * inv_z[:, None]) * inv_z[:, None]
 
-    count = len(points_world)
-    # d(pixel)/d(P_c): 2x3 per point.
-    jacobian_pixel = np.zeros((count, 2, 3))
-    jacobian_pixel[:, 0, 0] = camera.fx * inv_z
-    jacobian_pixel[:, 0, 2] = -camera.fx * x_over_z * inv_z
-    jacobian_pixel[:, 1, 1] = camera.fy * inv_z
-    jacobian_pixel[:, 1, 2] = -camera.fy * y_over_z * inv_z
-
-    # d(P_c)/d(xi): 3x6 per point = [I | -skew(P_c)], written as six
-    # batched column assignments: -skew([x,y,z]) = [[0,z,-y],[-z,0,x],[y,-x,0]].
-    x = points_camera[:, 0]
-    y = points_camera[:, 1]
-    z = points_camera[:, 2]
-    jacobian_point = np.zeros((count, 3, 6))
-    jacobian_point[:, 0, 0] = 1.0
-    jacobian_point[:, 1, 1] = 1.0
-    jacobian_point[:, 2, 2] = 1.0
-    jacobian_point[:, 0, 4] = z
-    jacobian_point[:, 0, 5] = -y
-    jacobian_point[:, 1, 3] = -z
-    jacobian_point[:, 1, 5] = x
-    jacobian_point[:, 2, 3] = y
-    jacobian_point[:, 2, 4] = -x
-
-    jacobian = np.einsum("nij,njk->nik", jacobian_pixel, jacobian_point)
+    a, c = diagonal[:, 0], diagonal[:, 1]
+    b, d = last_column[:, 0], last_column[:, 1]
+    x, y, z = points_camera[:, 0], points_camera[:, 1], points_camera[:, 2]
+    jacobian = np.zeros((len(points_world), 2, 6))
+    jacobian[:, 0, 0] = a
+    jacobian[:, 0, 2] = b
+    jacobian[:, 0, 3] = b * y
+    jacobian[:, 0, 4] = a * z + b * -x
+    jacobian[:, 0, 5] = a * -y
+    jacobian[:, 1, 1] = c
+    jacobian[:, 1, 2] = d
+    jacobian[:, 1, 3] = c * -z + d * y
+    jacobian[:, 1, 4] = d * -x
+    jacobian[:, 1, 5] = c * x
+    jacobian += 0.0
     return residuals, jacobian, valid
 
 
@@ -175,7 +189,6 @@ def refine_pose(
     pose = initial_pose_cw
     converged = False
     iteration = 0
-    rms = float("inf")
     for iteration in range(1, max_iterations + 1):
         residuals, jacobian, valid = _residuals_and_jacobian(
             camera, pose, points_world, pixels
@@ -197,12 +210,11 @@ def refine_pose(
         except np.linalg.LinAlgError:  # pragma: no cover - singular geometry
             break
         pose = pose.retract(step)
-        rms = float(np.sqrt(np.mean(np.square(residual_norms[valid])))) if valid.any() else rms
         if np.linalg.norm(step) < convergence_tol:
             converged = True
             break
 
-    residuals, _, valid = _residuals_and_jacobian(camera, pose, points_world, pixels)
+    _, residuals, _, valid = _residuals(camera, pose, points_world, pixels)
     residual_norms = np.linalg.norm(residuals, axis=1)
     inlier_mask = valid & (residual_norms < inlier_threshold)
     final_rms = (

@@ -105,6 +105,13 @@ class SE3:
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("SE3 is immutable")
 
+    def __copy__(self) -> "SE3":
+        return self
+
+    def __deepcopy__(self, memo) -> "SE3":
+        # Immutable: a copied structure may share the pose.
+        return self
+
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
@@ -214,6 +221,18 @@ class SE3:
         if points.ndim == 1:
             return self.rotation @ points + self.translation
         return points @ self.rotation.T + self.translation
+
+    def transform_each(self, points: np.ndarray) -> np.ndarray:
+        """Apply to each row of an (N, 3) array as :meth:`transform` would
+        to that row alone.
+
+        A stacked (3, 3) @ (3, 1) matmul runs the same matrix-vector kernel
+        per row as ``transform(point)``, bit for bit; the plain
+        (N, 3) @ (3, 3) product of :meth:`transform` on a batch may round
+        differently.
+        """
+        points = np.asarray(points, dtype=float)
+        return np.matmul(self.rotation, points[:, :, None])[:, :, 0] + self.translation
 
     def matrix(self) -> np.ndarray:
         """Return the 4x4 homogeneous matrix."""

@@ -14,9 +14,11 @@ from .se3 import SE3
 
 __all__ = [
     "triangulate_dlt",
+    "triangulate_dlt_each",
     "triangulate_midpoint",
     "reprojection_errors",
     "reprojection_errors_batch",
+    "reprojection_errors_each",
 ]
 
 
@@ -94,6 +96,80 @@ def triangulate_dlt(
 
     Returns world points and a cheirality validity mask.
     """
+    return triangulate_dlt_each(
+        norm0,
+        norm1,
+        pose_0w.rotation,
+        pose_0w.translation,
+        pose_1w.rotation,
+        pose_1w.translation,
+    )
+
+
+def triangulate_dlt_each(
+    norm0: np.ndarray,
+    norm1: np.ndarray,
+    rotations0: np.ndarray,
+    translations0: np.ndarray,
+    rotations1: np.ndarray,
+    translations1: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`triangulate_dlt` with a pose pair per point.
+
+    ``rotations*``/``translations*`` are (N, 3, 3)/(N, 3) stacks, or one
+    (3, 3)/(3,) pose shared by every point.  All N 4x4 systems go to one
+    stacked SVD (LAPACK still runs per matrix) and the cheirality depths
+    are stacked matrix-vector products, so each point comes out bit for
+    bit as :func:`_triangulate_dlt_reference` computes it alone.
+    """
+    norm0 = np.atleast_2d(np.asarray(norm0, dtype=float))
+    norm1 = np.atleast_2d(np.asarray(norm1, dtype=float))
+    count = len(norm0)
+    points = np.zeros((count, 3))
+    valid = np.zeros(count, dtype=bool)
+    if count == 0:
+        return points, valid
+    rotations0 = np.broadcast_to(rotations0, (count, 3, 3))
+    rotations1 = np.broadcast_to(rotations1, (count, 3, 3))
+    translations0 = np.broadcast_to(translations0, (count, 3))
+    translations1 = np.broadcast_to(translations1, (count, 3))
+    projection0 = np.concatenate([rotations0, translations0[:, :, None]], axis=2)
+    projection1 = np.concatenate([rotations1, translations1[:, :, None]], axis=2)
+    a_matrix = np.stack(
+        [
+            norm0[:, 0:1] * projection0[:, 2] - projection0[:, 0],
+            norm0[:, 1:2] * projection0[:, 2] - projection0[:, 1],
+            norm1[:, 0:1] * projection1[:, 2] - projection1[:, 0],
+            norm1[:, 1:2] * projection1[:, 2] - projection1[:, 1],
+        ],
+        axis=1,
+    )
+    _, _, vt = np.linalg.svd(a_matrix)
+    homogeneous = vt[:, -1]
+    solved = np.flatnonzero(~(np.abs(homogeneous[:, 3]) < 1e-12))
+    candidate = homogeneous[solved, :3] / homogeneous[solved, 3:]
+    depth0 = (
+        np.matmul(rotations0[solved], candidate[:, :, None])[:, :, 0]
+        + translations0[solved]
+    )[:, 2]
+    depth1 = (
+        np.matmul(rotations1[solved], candidate[:, :, None])[:, :, 0]
+        + translations1[solved]
+    )[:, 2]
+    in_front = (depth0 > 1e-6) & (depth1 > 1e-6)
+    points[solved[in_front]] = candidate[in_front]
+    valid[solved[in_front]] = True
+    return points, valid
+
+
+def _triangulate_dlt_reference(
+    norm0: np.ndarray,
+    norm1: np.ndarray,
+    pose_0w: SE3,
+    pose_1w: SE3,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point SVD loop form of :func:`triangulate_dlt` (equivalence
+    oracle)."""
     norm0 = np.atleast_2d(np.asarray(norm0, dtype=float))
     norm1 = np.atleast_2d(np.asarray(norm1, dtype=float))
     projection0 = np.hstack([pose_0w.rotation, pose_0w.translation[:, None]])
@@ -134,6 +210,35 @@ def reprojection_errors(
     points_camera = pose_cw.transform(np.asarray(points_world, dtype=float))
     depths = np.maximum(points_camera[:, 2], 1e-12)
     projected = (points_camera @ camera_matrix.T)[:, :2] / depths[:, None]
+    return np.linalg.norm(projected - np.asarray(pixels, dtype=float), axis=1)
+
+
+def reprojection_errors_each(
+    camera_matrix: np.ndarray,
+    rotations: np.ndarray,
+    translations: np.ndarray,
+    points_world: np.ndarray,
+    pixels: np.ndarray,
+) -> np.ndarray:
+    """:func:`reprojection_errors` of each point on its own.
+
+    Row i is ``reprojection_errors(K, pose_i, points_world[i:i+1],
+    pixels[i:i+1])[0]`` bit for bit, where ``pose_i`` is
+    ``(rotations[i], translations[i])`` for (N, 3, 3)/(N, 3) stacks or one
+    shared (3, 3)/(3,) pose: the (1, 3) @ (3, 3) products of a one-point
+    call become one stacked matmul, which runs the same vector-matrix
+    kernel per row.
+    """
+    points_world = np.asarray(points_world, dtype=float)
+    points_camera = (
+        np.matmul(points_world[:, None, :], np.swapaxes(rotations, -1, -2))[:, 0]
+        + translations
+    )
+    depths = np.maximum(points_camera[:, 2], 1e-12)
+    projected = (
+        np.matmul(points_camera[:, None, :], camera_matrix.T)[:, 0, :2]
+        / depths[:, None]
+    )
     return np.linalg.norm(projected - np.asarray(pixels, dtype=float), axis=1)
 
 

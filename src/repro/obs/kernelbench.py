@@ -282,6 +282,87 @@ def _kernel_transfer_contour_depth(seed: int, repeats: int) -> dict:
     )
 
 
+def _kernel_transfer_fill_contour(seed: int, repeats: int) -> dict:
+    from ..image.contours import _fill_contour_reference, fill_contour
+
+    rng = np.random.default_rng(seed)
+    # A transferred mask: a 192-point resampled contour, reprojected to
+    # sub-pixel positions, around a mid-sized object of a QVGA frame.
+    angles = np.linspace(0.0, 2.0 * np.pi, 192, endpoint=False)
+    radii = rng.uniform(40.0, 60.0, 192)
+    contour = np.column_stack(
+        [120.0 + radii * np.sin(angles), 160.0 + 1.4 * radii * np.cos(angles)]
+    )
+    shape = (240, 320)
+    vec = fill_contour(contour, shape)
+    ref = _fill_contour_reference(contour, shape)
+    err = float(np.abs(vec.astype(int) - ref.astype(int)).max())
+    return _cell(
+        "transfer.fill_contour",
+        len(contour),
+        repeats,
+        lambda: fill_contour(contour, shape),
+        lambda: _fill_contour_reference(contour, shape),
+        err,
+        0.0,
+    )
+
+
+def _kernel_vo_refine_structure(seed: int, repeats: int) -> dict:
+    from ..geometry.camera import PinholeCamera
+    from ..geometry.se3 import SE3
+    from ..vo.odometry import VisualOdometry
+
+    rng = np.random.default_rng(seed)
+    camera = PinholeCamera.with_fov(320, 240)
+    vo = VisualOdometry(camera)
+    # A map after a keyframe: static points first seen from the reference
+    # pose and last seen from one of four poses a few frames of walking
+    # later (the points observed in one frame share its pose object).
+    n = 300
+    frame_index = 40
+    origin = SE3.identity()
+    positions = np.column_stack(
+        [rng.uniform(-2.0, 2.0, n), rng.uniform(-1.5, 1.5, n), rng.uniform(3.0, 8.0, n)]
+    )
+    first_pixels, _ = camera.project(positions)
+    ids = vo.map.add_points(
+        positions=positions + rng.normal(scale=0.05, size=(n, 3)),
+        descriptors=rng.integers(0, 256, (n, 32), dtype=np.uint8),
+        frame_index=frame_index,
+        first_observation=(origin, first_pixels + rng.normal(scale=0.5, size=(n, 2))),
+        last_observation=(origin, first_pixels),
+        parallax_deg=rng.uniform(0.0, 2.0, n),
+    )
+    seen_from = rng.integers(1, 5, n)
+    for step in range(1, 5):
+        pose = SE3.exp(np.array([-0.05 * step, 0.0, -0.02 * step, 0.0, 0.01 * step, 0.0]))
+        mine = seen_from == step
+        pixels, _ = camera.project(pose.transform(positions[mine]))
+        vo.map.record_observations(ids[mine], pose, pixels)
+    vec = vo._refined_structure(frame_index)
+    ref = vo._refined_structure_reference(frame_index)
+    err = (
+        float(
+            max(
+                np.abs(vec[1] - ref[1]).max(initial=0.0),
+                np.abs(vec[2] - ref[2]).max(initial=0.0),
+            )
+        )
+        if np.array_equal(vec[0], ref[0])
+        else float("inf")
+    )
+    return _cell(
+        "vo.refine_structure",
+        n,
+        repeats,
+        lambda: vo._refined_structure(frame_index),
+        lambda: vo._refined_structure_reference(frame_index),
+        err,
+        0.0,
+    )
+
+
 def _kernel_features_hamming(seed: int, repeats: int) -> dict:
     from ..features.brief import _hamming_distance_reference, hamming_distance
 
@@ -428,8 +509,10 @@ _KERNELS = {
     "ba.ransac_score": _kernel_ba_ransac_score,
     "ba.dlt_rows": _kernel_ba_dlt_rows,
     "transfer.contour_depth": _kernel_transfer_contour_depth,
+    "transfer.fill_contour": _kernel_transfer_fill_contour,
     "features.hamming": _kernel_features_hamming,
     "vo.oracle_observe": _kernel_vo_oracle_observe,
+    "vo.refine_structure": _kernel_vo_refine_structure,
     "synthetic.raster": _kernel_synthetic_raster,
     "encoding.block_entropy": _kernel_encoding_block_entropy,
     "serve.batch_latency": _kernel_serve_batch_latency,

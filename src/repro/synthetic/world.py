@@ -130,11 +130,7 @@ class World:
         positions = np.zeros((len(self._sites), 3))
         for owner_index, indices, points in self._site_groups:
             pose = self.objects[owner_index].pose_wo(time)
-            # A stacked (3, 3) @ (3, 1) matmul runs the same matrix-vector
-            # kernel per point as ``pose.transform(point)``, bit for bit; a
-            # plain (N, 3) @ (3, 3) product may round differently.
-            rotated = np.matmul(pose.rotation, points[:, :, None])[:, :, 0]
-            positions[indices] = rotated + pose.translation
+            positions[indices] = pose.transform_each(points)
         return positions
 
     def _site_world_positions_reference(self, time: float) -> np.ndarray:

@@ -103,19 +103,32 @@ class TransferredMask:
 
 
 class MaskTransferEngine:
-    """Computes current-frame masks from cached keyframe segmentations."""
+    """Computes current-frame masks from cached keyframe segmentations.
+
+    Everything that does not depend on the current pose is computed once
+    and reused across frames:
+
+    * the resampled contour of each keyframe mask, kept while the
+      keyframe holds that same mask object (``apply_segmentation``
+      replaces the masks, culling drops the keyframe);
+    * the contour's estimated depths and its back-projection into the
+      source camera, kept for each instance's current source keyframe
+      against the map version (any point added, relabeled, moved or
+      culled invalidates).
+
+    Only the relative motion, the projection and the fill run per frame.
+    """
 
     def __init__(self, camera: PinholeCamera, config: TransferConfig | None = None):
         self.camera = camera
         self.config = config or TransferConfig()
-        # Derived-array caches keyed on LabeledMap.version: the object's
-        # stacked positions per instance, and the projected features +
-        # kd-tree per (source keyframe, instance).  A version bump (point
-        # added/relabeled/culled/refined) invalidates lazily on lookup.
-        self._positions_cache: dict[int, tuple[int, np.ndarray]] = {}
-        self._source_cache: dict[
-            tuple[int, int],
-            tuple[int, tuple[np.ndarray, np.ndarray, cKDTree] | None],
+        # (keyframe index, instance) -> (mask, resampled (row, col) contour).
+        self._contours: dict[tuple[int, int], tuple[InstanceMask, np.ndarray | None]] = {}
+        # (source keyframe index, instance) -> (mask, map version,
+        # source-camera contour points or None), for the sources of the
+        # last prediction only.
+        self._backprojections: dict[
+            tuple[int, int], tuple[InstanceMask, int, np.ndarray | None]
         ] = {}
 
     # ------------------------------------------------------------------
@@ -123,12 +136,21 @@ class MaskTransferEngine:
         """Predict masks for the VO's current frame."""
         if vo.pose_cw is None:
             return []
+        # Newest first: source selection takes the newest keyframe within
+        # the viewing-angle budget.
+        keyframes = vo.map.keyframes_with_masks()[::-1]
+        self._forget_dropped(keyframes)
+        backprojections = self._backprojections
+        self._backprojections = {}
         predictions: list[TransferredMask] = []
         for instance_id, track in vo.objects.items():
-            source = self._select_source(vo, instance_id)
+            source = self._select_source(vo, keyframes, instance_id)
             if source is None:
                 continue
             record, view_angle = source
+            key = (record.frame_index, instance_id)
+            if key in backprojections:
+                self._backprojections[key] = backprojections[key]
             transferred = self._transfer_one(vo, record, instance_id)
             if transferred is None:
                 continue
@@ -148,16 +170,39 @@ class MaskTransferEngine:
             )
         return predictions
 
+    def _forget_dropped(self, keyframes: list[KeyframeRecord]) -> None:
+        """Drop the contours of keyframes that left the map or whose masks
+        were replaced."""
+        live = {
+            (record.frame_index, mask.instance_id): mask
+            for record in keyframes
+            for mask in record.masks
+        }
+        stale = [key for key, (mask, _) in self._contours.items() if live.get(key) is not mask]
+        for key in stale:
+            del self._contours[key]
+
     # ------------------------------------------------------------------
     # Source frame selection (III-C, first problem)
     # ------------------------------------------------------------------
     def _select_source(
-        self, vo: VisualOdometry, instance_id: int
+        self,
+        vo: VisualOdometry,
+        keyframes: list[KeyframeRecord],
+        instance_id: int,
     ) -> tuple[KeyframeRecord, float] | None:
+        """The newest masked keyframe of the instance within the
+        viewing-angle budget, with its viewing angle.  ``keyframes`` is
+        ordered newest first.
+
+        Among keyframes within the budget the newest wins: pose estimates
+        are only locally consistent (a lost / relocalize episode shifts
+        the frame of reference slightly), so staleness costs more accuracy
+        than a few extra degrees.
+        """
         track = vo.objects[instance_id]
         current_pose_co = track.pose_co(vo.pose_cw)
-        best: tuple[KeyframeRecord, float] | None = None
-        for record in vo.map.keyframes_with_masks():
+        for record in keyframes:
             mask = record.mask_for(instance_id)
             if mask is None or mask.is_empty:
                 continue
@@ -167,105 +212,69 @@ class MaskTransferEngine:
             angle = np.degrees(source_pose_co.rotation_angle_to(current_pose_co))
             if angle > self.config.max_view_angle_deg:
                 continue
-            # Among keyframes within the viewing-angle budget, prefer the
-            # newest: pose estimates are only locally consistent (a lost /
-            # relocalize episode shifts the frame of reference slightly),
-            # so staleness costs more accuracy than a few extra degrees.
-            if best is None or record.frame_index > best[0].frame_index:
-                best = (record, angle)
-        if best is None:
-            return None
-        return best
+            return record, angle
+        return None
 
     # ------------------------------------------------------------------
     # Contour transfer (III-C, second problem)
     # ------------------------------------------------------------------
-    def _positions_object(
-        self, vo: VisualOdometry, instance_id: int
-    ) -> np.ndarray:
-        """Stacked (N, 3) object-frame positions, memoized per instance
-        against the map version (the per-call ``np.array([p.position ...])``
-        rebuild was a profiled hot spot)."""
-        version = vo.map.version
-        entry = self._positions_cache.get(instance_id)
-        if entry is not None and entry[0] == version:
+    def _contour(self, record: KeyframeRecord, mask: InstanceMask) -> np.ndarray | None:
+        """The mask's largest contour resampled to ``max_contour_points``,
+        (row, col), traced once per keyframe mask."""
+        key = (record.frame_index, mask.instance_id)
+        entry = self._contours.get(key)
+        if entry is not None and entry[0] is mask:
             return entry[1]
-        points = [p for p in vo.map.points if p.label == instance_id]
-        positions = (
-            np.array([p.position for p in points])
-            if points
-            else np.zeros((0, 3))
-        )
-        self._positions_cache[instance_id] = (version, positions)
-        return positions
+        contour = largest_contour(mask.mask)
+        if contour is not None:
+            contour = resample_contour(contour, self.config.max_contour_points)
+        self._contours[key] = (mask, contour)
+        return contour
 
-    def _source_features(
-        self,
-        vo: VisualOdometry,
-        record: KeyframeRecord,
-        instance_id: int,
-        source_pose_co,
-    ) -> tuple[np.ndarray, np.ndarray, cKDTree] | None:
-        """(feature_pixels, depths, kd-tree) of the object's points as
-        seen from the source keyframe, memoized per (keyframe, instance)
-        against the map version.  ``object_poses_co`` is fixed at
-        keyframe creation, so the keyframe index is a stable key."""
+    def _source_points(
+        self, vo: VisualOdometry, record: KeyframeRecord, instance_id: int
+    ) -> np.ndarray | None:
+        """The mask contour back-projected into the source camera, each
+        pixel at the mean depth of its k nearest object features as seen
+        from the source keyframe (positions are stored in the object
+        frame); None when the object has too few points in front of it or
+        the mask has no contour."""
+        mask = record.mask_for(instance_id)
         key = (record.frame_index, instance_id)
         version = vo.map.version
-        entry = self._source_cache.get(key)
-        if entry is not None and entry[0] == version:
-            return entry[1]
-        positions_object = self._positions_object(vo, instance_id)
-        value: tuple[np.ndarray, np.ndarray, cKDTree] | None = None
+        entry = self._backprojections.get(key)
+        if entry is not None and entry[0] is mask and entry[1] == version:
+            return entry[2]
+        points = None
+        positions_object = vo.map.positions[vo.map.labels == instance_id]
         if len(positions_object) >= self.config.min_object_features:
+            source_pose_co = record.object_poses_co[instance_id]
             points_source_cam = source_pose_co.transform(positions_object)
             depths = points_source_cam[:, 2]
             in_front = depths > 1e-3
-            if in_front.sum() >= self.config.min_object_features:
-                depths = depths[in_front]
-                feature_pixels, _ = self.camera.project(
-                    points_source_cam[in_front]
+            contour = self._contour(record, mask)
+            if in_front.sum() >= self.config.min_object_features and contour is not None:
+                feature_pixels, _ = self.camera.project(points_source_cam[in_front])
+                # Contour is (row, col); features are (u, v) = (col, row).
+                contour_uv = contour[:, ::-1]
+                estimated_depths = contour_depths(
+                    contour_uv, feature_pixels, depths[in_front], self.config.k_nearest
                 )
-                value = (feature_pixels, depths, cKDTree(feature_pixels))
-        if len(self._source_cache) >= 128:
-            # Drop stale-version entries before growing further.
-            self._source_cache = {
-                k: v for k, v in self._source_cache.items() if v[0] == version
-            }
-        self._source_cache[key] = (version, value)
-        return value
+                points = self.camera.backproject(contour_uv, estimated_depths)
+        self._backprojections[key] = (mask, version, points)
+        return points
 
     def _transfer_one(
         self, vo: VisualOdometry, record: KeyframeRecord, instance_id: int
     ) -> np.ndarray | None:
-        mask = record.mask_for(instance_id)
-        assert mask is not None
+        points_cam_source = self._source_points(vo, record, instance_id)
+        if points_cam_source is None:
+            return None
         track = vo.objects[instance_id]
         source_pose_co = record.object_poses_co[instance_id]
         current_pose_co = track.pose_co(vo.pose_cw)
         # Relative motion in the object's frame absorbs object movement.
         relative = current_pose_co @ source_pose_co.inverse()
-
-        # Depth sources: the object's map points as seen from the source
-        # keyframe (positions are stored in the object frame).
-        source = self._source_features(vo, record, instance_id, source_pose_co)
-        if source is None:
-            return None
-        feature_pixels, depths, tree = source
-
-        contour = largest_contour(mask.mask)
-        if contour is None:
-            return None
-        contour = resample_contour(contour, self.config.max_contour_points)
-        # Contour is (row, col); features are (u, v) = (col, row).
-        contour_uv = contour[:, ::-1]
-
-        estimated_depths = contour_depths(
-            contour_uv, feature_pixels, depths, self.config.k_nearest, tree=tree
-        )
-
-        # Back-project, move, re-project.
-        points_cam_source = self.camera.backproject(contour_uv, estimated_depths)
         points_cam_current = relative.transform(points_cam_source)
         projected, proj_depths = self.camera.project(points_cam_current)
         visible = proj_depths > 1e-3
@@ -273,7 +282,6 @@ class MaskTransferEngine:
             return None
         projected = projected[visible]
         # fill_contour takes (row, col) points.
-        new_mask = fill_contour(
+        return fill_contour(
             projected[:, ::-1], (self.camera.height, self.camera.width)
         )
-        return new_mask

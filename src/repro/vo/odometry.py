@@ -29,10 +29,16 @@ from ..geometry.bundle_adjustment import MIN_PNP_POINTS, refine_pose, solve_pnp
 from ..geometry.camera import PinholeCamera
 from ..geometry.epipolar import recover_relative_pose
 from ..geometry.se3 import SE3
-from ..geometry.triangulation import reprojection_errors, triangulate_dlt
+from ..geometry.triangulation import (
+    _triangulate_dlt_reference,
+    reprojection_errors,
+    reprojection_errors_each,
+    triangulate_dlt,
+    triangulate_dlt_each,
+)
 from ..image.masks import InstanceMask
 from .frontend import Observation
-from .map import BACKGROUND, KeyframeRecord, LabeledMap
+from .map import BACKGROUND, UNLABELED, KeyframeRecord, LabeledMap
 
 __all__ = ["VOState", "VOConfig", "ObjectTrack", "TrackingResult", "VisualOdometry"]
 
@@ -267,19 +273,24 @@ class VisualOdometry:
         """
         if self._pose_cw is None:
             return 1.0
-        background = [
-            p.position for p in self.map.points if p.is_background or p.is_unlabeled
-        ]
-        if not background:
+        depth = self._median_background_depth()
+        if depth is None:
             return 1.0
-        depths = self._pose_cw.transform(np.asarray(background))[:, 2]
-        positive = depths[depths > 0]
-        if len(positive) == 0:
-            return 1.0
-        depth = float(np.median(positive))
         if self._scene_scale0 is None:
             self._scene_scale0 = depth
         return float(np.clip(depth, 0.4 * self._scene_scale0, 2.5 * self._scene_scale0))
+
+    def _median_background_depth(self) -> float | None:
+        """Median positive depth of the background and unlabeled points
+        under the current pose, or None when there is none."""
+        background = self.map.positions[self.map.labels <= BACKGROUND]
+        if not len(background):
+            return None
+        depths = self._pose_cw.transform(background)[:, 2]
+        positive = depths[depths > 0]
+        if len(positive) == 0:
+            return None
+        return float(np.median(positive))
 
     # ------------------------------------------------------------------
     # Initialization (Section III-A)
@@ -331,27 +342,19 @@ class VisualOdometry:
         # Build the map: world frame := reference camera frame.
         matched_ids = np.full(len(observation), -1, dtype=int)
         reference_ids = np.full(len(reference.observation), -1, dtype=int)
-        for match_row, point_world in zip(
-            geometry.point_indices, geometry.points_3d
-        ):
-            match = matches[match_row]
-            point = self.map.add_point(
-                position=point_world,
-                descriptor=observation.descriptors[match.train_index],
-                label=None,
-                frame_index=frame_index,
-            )
-            point.first_observation = (
-                SE3.identity(),
-                reference.observation.pixels[match.query_index].copy(),
-            )
-            point.last_observation = (
-                geometry.pose_10,
-                observation.pixels[match.train_index].copy(),
-            )
-            point.parallax_quality_deg = geometry.median_parallax_deg
-            matched_ids[match.train_index] = point.point_id
-            reference_ids[match.query_index] = point.point_id
+        kept = [matches[row] for row in geometry.point_indices]
+        query = np.array([match.query_index for match in kept], dtype=int)
+        train = np.array([match.train_index for match in kept], dtype=int)
+        ids = self.map.add_points(
+            positions=geometry.points_3d,
+            descriptors=observation.descriptors[train],
+            frame_index=frame_index,
+            first_observation=(SE3.identity(), reference.observation.pixels[query]),
+            last_observation=(geometry.pose_10, observation.pixels[train]),
+            parallax_deg=geometry.median_parallax_deg,
+        )
+        matched_ids[train] = ids
+        reference_ids[query] = ids
 
         self._pose_cw = geometry.pose_10  # current camera from world(=ref frame)
         self.state = VOState.TRACKING
@@ -415,7 +418,7 @@ class VisualOdometry:
         if len(point_ids) == 0 or len(observation) == 0:
             return self._declare_lost(frame_index, matched_ids)
 
-        descriptors = np.stack([self.map.get(int(i)).descriptor for i in point_ids])
+        descriptors = self.map.descriptors[self.map.rows(point_ids)]
         matches = match_descriptors(
             observation.descriptors,
             descriptors,
@@ -423,18 +426,11 @@ class VisualOdometry:
         )
         # Geometric gating against the predicted projections.
         projected, _ = self.camera.project_world(predicted_pose, positions_world)
-        accepted = []
-        for match in matches:
-            error = np.linalg.norm(
-                observation.pixels[match.query_index] - projected[match.train_index]
-            )
-            if error <= gate:
-                accepted.append(match)
-        if len(accepted) < self.config.min_track_matches:
+        feature_rows, map_rows = self._gate_matches(
+            observation.pixels, matches, projected, gate
+        )
+        if len(feature_rows) < self.config.min_track_matches:
             return self._declare_lost(frame_index, matched_ids)
-
-        feature_rows = np.array([m.query_index for m in accepted])
-        map_rows = np.array([m.train_index for m in accepted])
         matched_ids[feature_rows] = point_ids[map_rows]
 
         # Device pose from all *static* structure: background points,
@@ -442,20 +438,19 @@ class VisualOdometry:
         # hiding among them) and points of objects currently classified as
         # non-moving — excluding only confirmed movers.  Object-dense
         # scenes would starve a background-only solve.
-        def is_static(label) -> bool:
-            if label is None or label == BACKGROUND:
-                return True
-            track = self.objects.get(label)
-            return track is not None and not track.is_moving
-
-        static_rows = np.array(
-            [i for i, row in enumerate(map_rows) if is_static(labels[row])]
+        matched_labels = labels[map_rows]
+        not_static = [
+            label
+            for label in np.unique(matched_labels[matched_labels > BACKGROUND]).tolist()
+            if label not in self.objects or self.objects[label].is_moving
+        ]
+        static_rows = np.flatnonzero(
+            (matched_labels <= BACKGROUND) | ~np.isin(matched_labels, not_static)
         )
         if len(static_rows) < self.config.min_track_matches:
             return self._declare_lost(frame_index, matched_ids)
         static_points = positions_world[map_rows[static_rows]]
         static_pixels = observation.pixels[feature_rows[static_rows]]
-        static_points = np.asarray(static_points)
         scene_depth = self.scene_depth()
 
         def acceptable(candidate) -> bool:
@@ -519,24 +514,16 @@ class VisualOdometry:
         self.state = VOState.TRACKING
         self._frames_since_lost = 0
 
-        # Touch matched points and record the freshest observation of each
-        # well-reprojecting static point (feeds structure refinement).
-        for point_id in matched_ids[matched_ids >= 0]:
-            self.map.touch(int(point_id), frame_index)
         final_errors = reprojection_errors(
             self.camera.matrix, self._pose_cw, static_points, static_pixels
         )
-        for row, error in zip(static_rows, final_errors):
-            point = self.map.get(int(point_ids[map_rows[row]]))
-            if error < 3.0:
-                point.last_observation = (
-                    self._pose_cw,
-                    observation.pixels[feature_rows[row]].copy(),
-                )
-                if point.first_observation is None:
-                    point.first_observation = point.last_observation
-            elif error > 4.0:
-                point.outlier_count += 1
+        self._update_observations(
+            frame_index,
+            matched_ids,
+            point_ids[map_rows[static_rows]],
+            static_pixels,
+            final_errors,
+        )
 
         object_poses, moving = self._track_objects(
             frame_index, observation, matched_ids
@@ -561,39 +548,76 @@ class VisualOdometry:
             object_poses_wo=object_poses,
             matched_point_ids=matched_ids,
             unlabeled_match_fraction=unlabeled_fraction,
-            num_matches=len(accepted),
+            num_matches=len(feature_rows),
             moving_objects=moving,
         )
 
     def _visible_points(self, pose_cw: SE3):
-        """Map points predicted visible in the given pose, with world
-        positions (object points mapped through their current pose)."""
-        ids = []
-        positions = []
-        labels: list[int | None] = []
-        for point in self.map.points:
-            if point.is_object:
-                track = self.objects.get(point.label)
-                if track is None:
-                    continue
-                position_world = track.pose_wo.transform(point.position)
+        """Map points predicted visible in the given pose: (point ids,
+        world positions, label column values).  Object points are mapped
+        through their object's current pose, one stacked matrix-vector
+        product per object; points of objects without a track are
+        skipped."""
+        labels = self.map.labels
+        positions = self.map.positions
+        keep = np.ones(len(labels), dtype=bool)
+        world = positions.copy()
+        for label in np.unique(labels[labels > BACKGROUND]).tolist():
+            rows = np.flatnonzero(labels == label)
+            track = self.objects.get(label)
+            if track is None:
+                keep[rows] = False
             else:
-                position_world = point.position
-            ids.append(point.point_id)
-            positions.append(position_world)
-            labels.append(point.label)
-        if not ids:
-            return np.zeros(0, dtype=int), np.zeros((0, 3)), []
-        positions_arr = np.asarray(positions)
-        pixels, depths, visible = self.camera.visible_world_points(
-            pose_cw, positions_arr, margin=60.0
+                world[rows] = track.pose_wo.transform_each(positions[rows])
+        ids = self.map.ids[keep]
+        if not len(ids):
+            return np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0, dtype=int)
+        world = world[keep]
+        _, _, visible = self.camera.visible_world_points(pose_cw, world, margin=60.0)
+        shown = np.flatnonzero(visible)
+        return ids[shown], world[shown], labels[keep][shown]
+
+    @staticmethod
+    def _gate_matches(pixels, matches, projected, gate: float):
+        """(feature rows, map rows) of the matches whose feature lies within
+        ``gate`` pixels of the point's predicted projection."""
+        query = np.array([match.query_index for match in matches], dtype=int)
+        train = np.array([match.train_index for match in matches], dtype=int)
+        if not len(query):
+            return query, train
+        offsets = pixels[query] - projected[train]
+        # Row-by-row dot products: the same ddot np.linalg.norm takes.
+        errors = np.sqrt(_row_dot(offsets, offsets))
+        accepted = errors <= gate
+        return query[accepted], train[accepted]
+
+    def _update_observations(
+        self, frame_index, matched_ids, static_ids, static_pixels, errors
+    ) -> None:
+        """Touch every matched point, and record the freshest observation
+        of each well-reprojecting static point (feeds structure
+        refinement); count the badly reprojecting ones as outliers."""
+        self.map.touch(matched_ids[matched_ids >= 0], frame_index)
+        good = errors < 3.0
+        self.map.record_observations(
+            static_ids[good], self._pose_cw, static_pixels[good]
         )
-        keep = np.flatnonzero(visible)
-        return (
-            np.asarray(ids, dtype=int)[keep],
-            positions_arr[keep],
-            [labels[i] for i in keep],
-        )
+        self.map.count_outliers(static_ids[errors > 4.0])
+
+    def _object_matches(self, matched_ids: np.ndarray):
+        """(label, feature indices, map rows) of the matched object points,
+        one entry per object in order of its first matched feature."""
+        features = np.flatnonzero(matched_ids >= 0)
+        rows = self.map.rows(matched_ids[features])
+        labels = self.map.labels[rows]
+        on_object = labels > BACKGROUND
+        features, rows, labels = features[on_object], rows[on_object], labels[on_object]
+        unique, first = np.unique(labels, return_index=True)
+        groups = []
+        for label in unique[np.argsort(first)].tolist():
+            members = labels == label
+            groups.append((label, features[members], rows[members]))
+        return groups
 
     def _track_objects(self, frame_index, observation, matched_ids):
         """Per-object tracking (Eq. 6-7) with image-space motion evidence.
@@ -608,22 +632,12 @@ class VisualOdometry:
         """
         object_poses: dict[int, SE3] = {}
         moving: set[int] = set()
-        by_label: dict[int, list[tuple[int, int]]] = {}
-        for feature_index, point_id in enumerate(matched_ids):
-            if point_id < 0:
-                continue
-            point = self.map.get(int(point_id))
-            if point.is_object:
-                by_label.setdefault(point.label, []).append((feature_index, point_id))
-
-        for label, pairs in by_label.items():
+        for label, features, rows in self._object_matches(matched_ids):
             track = self.objects.get(label)
-            if track is None or len(pairs) < self.config.min_object_points:
+            if track is None or len(features) < self.config.min_object_points:
                 continue
-            positions_object = np.array(
-                [self.map.get(pid).position for _, pid in pairs]
-            )
-            pixels = np.array([observation.pixels[fi] for fi, _ in pairs])
+            positions_object = self.map.positions[rows]
+            pixels = observation.pixels[features]
 
             # Image-space motion evidence under the old object pose.
             positions_world = track.pose_wo.transform(positions_object)
@@ -690,13 +704,8 @@ class VisualOdometry:
         total = len(matched_ids)
         if total == 0:
             return 1.0
-        known = 0
-        for point_id in matched_ids:
-            if point_id < 0:
-                continue
-            point = self.map.get(int(point_id))
-            if not point.is_unlabeled:
-                known += 1
+        rows = self.map.rows(matched_ids[matched_ids >= 0])
+        known = int((self.map.labels[rows] != UNLABELED).sum())
         return 1.0 - known / total
 
     def _create_points(self, frame_index, timestamp, observation, matched_ids):
@@ -745,50 +754,50 @@ class VisualOdometry:
             ).min(axis=1)
             valid &= min_distances > 24
         scene_depth = self.scene_depth()
-        center_now = self._pose_cw.center
-        center_then = partner.pose_cw.center
-        for i in np.flatnonzero(valid):
-            depth = (self._pose_cw.transform(points[i]))[2]
-            if depth <= 0.05 or depth > 20.0 * scene_depth:
-                continue
-            # Quality gates: the new point must reproject tightly in both
-            # views and subtend real parallax — otherwise its depth is
-            # noise and it would drag future pose solves.
-            error_now = reprojection_errors(
-                self.camera.matrix, self._pose_cw, points[i][None],
-                observation.pixels[now_rows[i]][None],
-            )[0]
-            error_then = reprojection_errors(
-                self.camera.matrix, partner.pose_cw, points[i][None],
-                partner.observation.pixels[then_rows[i]][None],
-            )[0]
-            if error_now > 1.5 or error_then > 1.5:
-                continue
-            ray_now = points[i] - center_now
-            ray_then = points[i] - center_then
-            cosine = np.dot(ray_now, ray_then) / max(
-                np.linalg.norm(ray_now) * np.linalg.norm(ray_then), 1e-12
-            )
-            if np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0))) < 0.8:
-                continue
-            point = self.map.add_point(
-                position=points[i],
-                descriptor=observation.descriptors[now_rows[i]],
-                label=None,
-                frame_index=frame_index,
-            )
-            point.first_observation = (
-                partner.pose_cw,
-                partner.observation.pixels[then_rows[i]].copy(),
-            )
-            point.last_observation = (
-                self._pose_cw,
-                observation.pixels[now_rows[i]].copy(),
-            )
-            point.parallax_quality_deg = float(
-                np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0)))
-            )
-            matched_ids[now_rows[i]] = point.point_id
+        candidates = np.flatnonzero(valid)
+        pixels_now = observation.pixels[now_rows[candidates]]
+        pixels_then = partner.observation.pixels[then_rows[candidates]]
+        keep, parallax = self._new_point_gates(
+            points[candidates], pixels_now, partner.pose_cw, pixels_then, scene_depth
+        )
+        chosen = candidates[keep]
+        if not len(chosen):
+            return
+        matched_ids[now_rows[chosen]] = self.map.add_points(
+            positions=points[chosen],
+            descriptors=observation.descriptors[now_rows[chosen]],
+            frame_index=frame_index,
+            first_observation=(partner.pose_cw, pixels_then[keep]),
+            last_observation=(self._pose_cw, pixels_now[keep]),
+            parallax_deg=parallax[keep],
+        )
+
+    def _new_point_gates(self, points, pixels_now, pose_then, pixels_then, scene_depth):
+        """(keep mask, parallax in degrees) of freshly triangulated points.
+
+        Quality gates: the new point must lie at a plausible depth,
+        reproject tightly in both views and subtend real parallax —
+        otherwise its depth is noise and it would drag future pose solves.
+        """
+        pose_now = self._pose_cw
+        depth = pose_now.transform_each(points)[:, 2]
+        error_now = reprojection_errors_each(
+            self.camera.matrix, pose_now.rotation, pose_now.translation,
+            points, pixels_now,
+        )
+        error_then = reprojection_errors_each(
+            self.camera.matrix, pose_then.rotation, pose_then.translation,
+            points, pixels_then,
+        )
+        parallax = _parallax_deg(points - pose_now.center, points - pose_then.center)
+        keep = ~(
+            (depth <= 0.05)
+            | (depth > 20.0 * scene_depth)
+            | (error_now > 1.5)
+            | (error_then > 1.5)
+            | (parallax < 0.8)
+        )
+        return keep, parallax
 
     def _clamp_velocity(self, velocity: SE3, scene_depth: float) -> SE3:
         """Bound and damp the per-frame velocity model.
@@ -821,46 +830,46 @@ class VisualOdometry:
         its first and latest observations subtend more parallax than the
         best it was ever triangulated with, recompute its position.
         """
-        refined = 0
-        for point in self.map.points:
-            if point.is_object:
-                continue
-            if point.first_observation is None or point.last_observation is None:
-                continue
-            if point.last_seen_frame != frame_index:
-                continue
-            pose_first, pixel_first = point.first_observation
-            pose_last, pixel_last = point.last_observation
-            ray_first = point.position - pose_first.center
-            ray_last = point.position - pose_last.center
-            denom = max(
-                np.linalg.norm(ray_first) * np.linalg.norm(ray_last), 1e-12
-            )
-            cosine = float(np.dot(ray_first, ray_last)) / denom
-            parallax = float(np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0))))
-            if parallax < max(point.parallax_quality_deg * 1.3, 1.0):
-                continue
-            norm_first = self.camera.normalize(pixel_first[None])
-            norm_last = self.camera.normalize(pixel_last[None])
-            positions, valid = triangulate_dlt(
-                norm_first, norm_last, pose_first, pose_last
-            )
-            if not valid[0]:
-                continue
-            error_first = reprojection_errors(
-                self.camera.matrix, pose_first, positions, pixel_first[None]
-            )[0]
-            error_last = reprojection_errors(
-                self.camera.matrix, pose_last, positions, pixel_last[None]
-            )[0]
-            if error_first > 2.0 or error_last > 2.0:
-                continue
-            point.position = positions[0]
-            point.parallax_quality_deg = parallax
-            refined += 1
-        if refined:
-            # Positions moved in place — invalidate position-derived caches.
-            self.map.bump_version()
+        point_ids, positions, parallax = self._refined_structure(frame_index)
+        if len(point_ids):
+            self.map.refine_points(point_ids, positions, parallax)
+
+    def _refined_structure(self, frame_index: int):
+        """(point ids, new positions, parallax) of the static points seen
+        at ``frame_index`` whose re-triangulation passes the gates."""
+        labeled_map = self.map
+        rows = np.flatnonzero(
+            (labeled_map.labels <= BACKGROUND)
+            & np.not_equal(labeled_map.first_poses, None)
+            & np.not_equal(labeled_map.last_poses, None)
+            & (labeled_map.last_seen_frames == frame_index)
+        )
+        positions = labeled_map.positions[rows]
+        rot_first, trans_first, center_first = _pose_stack(labeled_map.first_poses[rows])
+        rot_last, trans_last, center_last = _pose_stack(labeled_map.last_poses[rows])
+        parallax = _parallax_deg(positions - center_first, positions - center_last)
+        wider = ~(parallax < np.maximum(labeled_map.parallax[rows] * 1.3, 1.0))
+        rows, parallax = rows[wider], parallax[wider]
+        rot_first, trans_first = rot_first[wider], trans_first[wider]
+        rot_last, trans_last = rot_last[wider], trans_last[wider]
+        pixel_first = labeled_map.first_pixels[rows]
+        pixel_last = labeled_map.last_pixels[rows]
+        positions, valid = triangulate_dlt_each(
+            self.camera.normalize(pixel_first),
+            self.camera.normalize(pixel_last),
+            rot_first,
+            trans_first,
+            rot_last,
+            trans_last,
+        )
+        error_first = reprojection_errors_each(
+            self.camera.matrix, rot_first, trans_first, positions, pixel_first
+        )
+        error_last = reprojection_errors_each(
+            self.camera.matrix, rot_last, trans_last, positions, pixel_last
+        )
+        keep = valid & ~((error_first > 2.0) | (error_last > 2.0))
+        return labeled_map.ids[rows[keep]], positions[keep], parallax[keep]
 
     def _declare_lost(self, frame_index, matched_ids) -> TrackingResult:
         self._frames_since_lost += 1
@@ -896,3 +905,214 @@ class VisualOdometry:
             if recent.frame_index == frame_index:
                 return recent
         return None
+
+    # ------------------------------------------------------------------
+    # Per-point references of the array helpers above (equivalence
+    # oracles for tests/test_kernels.py and the vo.* micro cells).  They
+    # walk MapPoint views one at a time, as the tracker did before the
+    # map became a table of arrays.
+    # ------------------------------------------------------------------
+    def _visible_points_reference(self, pose_cw: SE3):
+        ids = []
+        positions = []
+        labels = []
+        for point in self.map.points:
+            if point.is_object:
+                track = self.objects.get(point.label)
+                if track is None:
+                    continue
+                position_world = track.pose_wo.transform(point.position)
+            else:
+                position_world = point.position
+            ids.append(point.point_id)
+            positions.append(position_world)
+            labels.append(UNLABELED if point.label is None else point.label)
+        if not ids:
+            return np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0, dtype=int)
+        positions_arr = np.asarray(positions)
+        _, _, visible = self.camera.visible_world_points(
+            pose_cw, positions_arr, margin=60.0
+        )
+        keep = np.flatnonzero(visible)
+        return (
+            np.asarray(ids, dtype=int)[keep],
+            positions_arr[keep],
+            np.asarray(labels, dtype=int)[keep],
+        )
+
+    def _median_background_depth_reference(self) -> float | None:
+        background = [
+            p.position for p in self.map.points if p.is_background or p.is_unlabeled
+        ]
+        if not background:
+            return None
+        depths = self._pose_cw.transform(np.asarray(background))[:, 2]
+        positive = depths[depths > 0]
+        if len(positive) == 0:
+            return None
+        return float(np.median(positive))
+
+    @staticmethod
+    def _gate_matches_reference(pixels, matches, projected, gate: float):
+        accepted = []
+        for match in matches:
+            error = np.linalg.norm(pixels[match.query_index] - projected[match.train_index])
+            if error <= gate:
+                accepted.append(match)
+        return (
+            np.array([m.query_index for m in accepted], dtype=int),
+            np.array([m.train_index for m in accepted], dtype=int),
+        )
+
+    def _update_observations_reference(
+        self, frame_index, matched_ids, static_ids, static_pixels, errors
+    ) -> None:
+        for point_id in matched_ids[matched_ids >= 0]:
+            point = self.map.get(int(point_id))
+            point.last_seen_frame = max(point.last_seen_frame, frame_index)
+            point.observation_count += 1
+        for point_id, pixel, error in zip(static_ids, static_pixels, errors):
+            point = self.map.get(int(point_id))
+            if error < 3.0:
+                point.last_observation = (self._pose_cw, pixel.copy())
+                if point.first_observation is None:
+                    point.first_observation = point.last_observation
+            elif error > 4.0:
+                point.outlier_count += 1
+
+    def _object_matches_reference(self, matched_ids: np.ndarray):
+        by_label: dict[int, list[tuple[int, int]]] = {}
+        for feature_index, point_id in enumerate(matched_ids):
+            if point_id < 0:
+                continue
+            point = self.map.get(int(point_id))
+            if point.is_object:
+                by_label.setdefault(point.label, []).append((feature_index, point_id))
+        return [
+            (
+                label,
+                np.array([f for f, _ in pairs], dtype=int),
+                self.map.rows(np.array([p for _, p in pairs], dtype=int)),
+            )
+            for label, pairs in by_label.items()
+        ]
+
+    def _unlabeled_fraction_reference(self, matched_ids: np.ndarray) -> float:
+        total = len(matched_ids)
+        if total == 0:
+            return 1.0
+        known = 0
+        for point_id in matched_ids:
+            if point_id < 0:
+                continue
+            if not self.map.get(int(point_id)).is_unlabeled:
+                known += 1
+        return 1.0 - known / total
+
+    def _new_point_gates_reference(
+        self, points, pixels_now, pose_then, pixels_then, scene_depth
+    ):
+        keep = np.zeros(len(points), dtype=bool)
+        parallax = np.zeros(len(points))
+        center_now = self._pose_cw.center
+        center_then = pose_then.center
+        for i in range(len(points)):
+            depth = (self._pose_cw.transform(points[i]))[2]
+            error_now = reprojection_errors(
+                self.camera.matrix, self._pose_cw, points[i][None], pixels_now[i][None]
+            )[0]
+            error_then = reprojection_errors(
+                self.camera.matrix, pose_then, points[i][None], pixels_then[i][None]
+            )[0]
+            ray_now = points[i] - center_now
+            ray_then = points[i] - center_then
+            cosine = np.dot(ray_now, ray_then) / max(
+                np.linalg.norm(ray_now) * np.linalg.norm(ray_then), 1e-12
+            )
+            parallax[i] = np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0)))
+            keep[i] = not (
+                depth <= 0.05
+                or depth > 20.0 * scene_depth
+                or error_now > 1.5
+                or error_then > 1.5
+                or parallax[i] < 0.8
+            )
+        return keep, parallax
+
+    def _refined_structure_reference(self, frame_index: int):
+        ids, positions, parallaxes = [], [], []
+        for point in self.map.points:
+            if point.is_object:
+                continue
+            if point.first_observation is None or point.last_observation is None:
+                continue
+            if point.last_seen_frame != frame_index:
+                continue
+            pose_first, pixel_first = point.first_observation
+            pose_last, pixel_last = point.last_observation
+            ray_first = point.position - pose_first.center
+            ray_last = point.position - pose_last.center
+            denom = max(
+                np.linalg.norm(ray_first) * np.linalg.norm(ray_last), 1e-12
+            )
+            cosine = float(np.dot(ray_first, ray_last)) / denom
+            parallax = float(np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0))))
+            if parallax < max(point.parallax_quality_deg * 1.3, 1.0):
+                continue
+            norm_first = self.camera.normalize(pixel_first[None])
+            norm_last = self.camera.normalize(pixel_last[None])
+            refined, valid = _triangulate_dlt_reference(
+                norm_first, norm_last, pose_first, pose_last
+            )
+            if not valid[0]:
+                continue
+            error_first = reprojection_errors(
+                self.camera.matrix, pose_first, refined, pixel_first[None]
+            )[0]
+            error_last = reprojection_errors(
+                self.camera.matrix, pose_last, refined, pixel_last[None]
+            )[0]
+            if error_first > 2.0 or error_last > 2.0:
+                continue
+            ids.append(point.point_id)
+            positions.append(refined[0])
+            parallaxes.append(parallax)
+        return (
+            np.array(ids, dtype=np.int64),
+            np.array(positions).reshape(-1, 3),
+            np.array(parallaxes),
+        )
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair: a stacked (1, n) @ (n, 1) matmul runs
+    the same ``ddot`` as ``np.dot``/``np.linalg.norm`` on one row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _parallax_deg(rays_a: np.ndarray, rays_b: np.ndarray) -> np.ndarray:
+    """Angle in degrees between each pair of rays (rows)."""
+    norms = np.sqrt(_row_dot(rays_a, rays_a)) * np.sqrt(_row_dot(rays_b, rays_b))
+    cosine = _row_dot(rays_a, rays_b) / np.maximum(norms, 1e-12)
+    return np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0)))
+
+
+def _pose_stack(poses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rotations, translations, centers) of a sequence of SE3 poses, as
+    (N, 3, 3)/(N, 3)/(N, 3) stacks; each distinct pose is read once (the
+    observations of one frame share its pose object)."""
+    index: dict[int, int] = {}
+    distinct: list[SE3] = []
+    codes = np.empty(len(poses), dtype=np.int64)
+    for row, pose in enumerate(poses):
+        code = index.setdefault(id(pose), len(distinct))
+        if code == len(distinct):
+            distinct.append(pose)
+        codes[row] = code
+    if not distinct:
+        return np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3))
+    return (
+        np.stack([pose.rotation for pose in distinct])[codes],
+        np.stack([pose.translation for pose in distinct])[codes],
+        np.stack([pose.center for pose in distinct])[codes],
+    )

@@ -33,7 +33,15 @@ from repro.geometry.bundle_adjustment import (
 from repro.geometry.camera import PinholeCamera
 from repro.image.frame import _block_entropy_reference, block_entropy
 from repro.geometry.se3 import SE3
-from repro.geometry.triangulation import reprojection_errors_batch
+from repro.geometry.triangulation import (
+    _triangulate_dlt_reference,
+    reprojection_errors,
+    reprojection_errors_batch,
+    reprojection_errors_each,
+    triangulate_dlt,
+    triangulate_dlt_each,
+)
+from repro.image.contours import _fill_contour_reference, fill_contour
 from repro.model.acceleration import InferenceInstruction
 from repro.model.maskrcnn import SimulatedSegmentationModel
 from repro.model.rpn import _assemble_proposals_reference
@@ -58,6 +66,7 @@ from repro.transfer.mask_transfer import (
     _contour_depths_reference,
     contour_depths,
 )
+from repro.vo import VisualOdometry
 from repro.vo.frontend import OracleFrontend
 
 CAMERA = PinholeCamera(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -756,3 +765,308 @@ class TestOracleObserve:
                 world.site_world_positions(time),
                 world._site_world_positions_reference(time),
             )
+
+
+def bits(array):
+    """The raw float64 bits, so that array_equal also tells -0.0 from 0.0."""
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+class TestClosedFormJacobian:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_signed_zeros_match_reference(self, seed):
+        # Zero coordinates make the einsum's dropped terms and the
+        # closed form's products signed zeros: the bits must agree.
+        rng = np.random.default_rng(seed)
+        points = random_points(rng, 60, z_low=-0.5, z_high=4.0)
+        points[rng.random(points.shape) < 0.3] = 0.0
+        points[rng.random(points.shape) < 0.2] = -0.0
+        pixels = rng.uniform((0.0, 0.0), (640.0, 480.0), (60, 2))
+        for pose in (SE3.identity(), SE3.exp(rng.normal(scale=0.2, size=6))):
+            res_v, jac_v, valid_v = _residuals_and_jacobian(CAMERA, pose, points, pixels)
+            res_r, jac_r, valid_r = _residuals_and_jacobian_reference(
+                CAMERA, pose, points, pixels
+            )
+            assert np.array_equal(valid_v, valid_r)
+            assert np.array_equal(bits(res_v), bits(res_r))
+            assert np.array_equal(bits(jac_v), bits(jac_r))
+            assert jac_v.flags.c_contiguous
+
+
+class TestStackedGeometry:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [0, 1, 7, 40])
+    def test_dlt_matches_reference(self, seed, n):
+        rng = np.random.default_rng(seed)
+        pose0 = SE3.exp(rng.normal(scale=0.3, size=6))
+        pose1 = SE3.exp(rng.normal(scale=0.3, size=6))
+        norm0 = rng.normal(scale=0.5, size=(n, 2))
+        norm1 = rng.normal(scale=0.5, size=(n, 2))
+        points, valid = triangulate_dlt(norm0, norm1, pose0, pose1)
+        ref_points, ref_valid = _triangulate_dlt_reference(norm0, norm1, pose0, pose1)
+        assert np.array_equal(valid, ref_valid)
+        assert np.array_equal(bits(points), bits(ref_points))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dlt_each_uses_each_points_poses(self, seed):
+        rng = np.random.default_rng(seed)
+        poses = [
+            (SE3.exp(rng.normal(scale=0.3, size=6)), SE3.exp(rng.normal(scale=0.3, size=6)))
+            for _ in range(25)
+        ]
+        norm0 = rng.normal(scale=0.5, size=(25, 2))
+        norm1 = rng.normal(scale=0.5, size=(25, 2))
+        points, valid = triangulate_dlt_each(
+            norm0,
+            norm1,
+            np.stack([a.rotation for a, _ in poses]),
+            np.stack([a.translation for a, _ in poses]),
+            np.stack([b.rotation for _, b in poses]),
+            np.stack([b.translation for _, b in poses]),
+        )
+        for i, (a, b) in enumerate(poses):
+            one, one_valid = _triangulate_dlt_reference(norm0[i], norm1[i], a, b)
+            assert valid[i] == one_valid[0]
+            assert np.array_equal(bits(points[i]), bits(one[0]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reprojection_errors_each_matches_one_point_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        poses = [SE3.exp(rng.normal(scale=0.3, size=6)) for _ in range(30)]
+        points = random_points(rng, 30)
+        pixels = rng.uniform((0.0, 0.0), (640.0, 480.0), (30, 2))
+        per_pose = reprojection_errors_each(
+            CAMERA_MATRIX,
+            np.stack([p.rotation for p in poses]),
+            np.stack([p.translation for p in poses]),
+            points,
+            pixels,
+        )
+        shared = reprojection_errors_each(
+            CAMERA_MATRIX, poses[0].rotation, poses[0].translation, points, pixels
+        )
+        for i, pose in enumerate(poses):
+            alone = reprojection_errors(CAMERA_MATRIX, pose, points[i][None], pixels[i][None])
+            assert per_pose[i] == alone[0]
+            first = reprojection_errors(
+                CAMERA_MATRIX, poses[0], points[i][None], pixels[i][None]
+            )
+            assert shared[i] == first[0]
+
+    def test_transform_each_matches_one_point_transforms(self):
+        rng = np.random.default_rng(3)
+        pose = SE3.exp(rng.normal(size=6))
+        points = rng.normal(scale=4.0, size=(200, 3))
+        stacked = pose.transform_each(points)
+        for point, row in zip(points, stacked):
+            assert np.array_equal(pose.transform(point), row)
+
+
+class TestFillContour:
+    SHAPE = (60, 80)
+
+    def assert_same(self, contour, shape=SHAPE):
+        assert np.array_equal(
+            fill_contour(contour, shape), _fill_contour_reference(contour, shape)
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_float_contours(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (3, 4, 9, 40, 192):
+            self.assert_same(rng.uniform((-5.0, -5.0), (65.0, 85.0), (n, 2)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_integer_vertices_on_scanlines(self, seed):
+        # Vertices exactly on rows and columns: the half-open crossing rule
+        # and the ceil/floor span ends are all at their edge cases.
+        rng = np.random.default_rng(seed)
+        for n in (3, 5, 12, 30):
+            self.assert_same(rng.integers(-3, 64, (n, 2)).astype(float))
+        self.assert_same(np.array([[10.0, 10.0], [10.0, 40.0], [30.0, 40.0], [30.0, 10.0]]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_contours_leaving_the_image(self, seed):
+        rng = np.random.default_rng(seed)
+        for scale in (100.0, 1e4, 1e9):
+            self.assert_same(rng.uniform(-scale, scale, (20, 2)))
+        # Entirely above, below, left and right of the image.
+        for offset in ((-50.0, 10.0), (100.0, 10.0), (10.0, -60.0), (10.0, 120.0)):
+            self.assert_same(rng.uniform(0.0, 20.0, (10, 2)) + offset)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_self_intersecting_contours(self, seed):
+        rng = np.random.default_rng(seed)
+        angles = np.linspace(0.0, 4.0 * np.pi, 37, endpoint=False)
+        star = np.column_stack(
+            [30.0 + 25.0 * np.sin(2.5 * angles), 40.0 + 30.0 * np.cos(1.5 * angles)]
+        )
+        self.assert_same(star)
+        self.assert_same(np.array([[5.0, 5.0], [50.0, 70.0], [5.0, 70.0], [50.0, 5.0]]))
+        self.assert_same(rng.uniform(0.0, 60.0, (64, 2)))
+
+    def test_fewer_than_three_points(self):
+        self.assert_same(np.zeros((0, 2)))
+        self.assert_same(np.array([[10.4, 20.6]]))
+        self.assert_same(np.array([[10.4, 20.6], [-3.0, 100.0]]))
+
+    def test_transferred_contour_at_qvga(self):
+        angles = np.linspace(0.0, 2.0 * np.pi, 192, endpoint=False)
+        contour = np.column_stack(
+            [120.3 + 50.0 * np.sin(angles), 160.7 + 70.0 * np.cos(angles)]
+        )
+        self.assert_same(contour, (240, 320))
+
+
+# ----------------------------------------------------------------------
+# VO helpers on recorded map states: every dataset, two resolutions.
+# ----------------------------------------------------------------------
+VO_FRAMES = {(160, 120): 62, (320, 240): 44}
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(d, r) for r in VO_FRAMES for d in DATASET_NAMES],
+    ids=lambda p: f"{p[0]}-{p[1][0]}x{p[1][1]}",
+)
+def vo_states(request):
+    """Snapshots of a tracking VO (with ground-truth masks applied every
+    sixth frame, so the map holds unlabeled, background and object
+    points) and the observation of the frame it last processed."""
+    import copy
+
+    dataset, resolution = request.param
+    video = make_dataset(dataset, num_frames=VO_FRAMES[resolution], resolution=resolution, seed=0)
+    frontend = OracleFrontend(video.world, video.camera, seed=0)
+    vo = VisualOdometry(video.camera)
+    states = []
+    for index in range(VO_FRAMES[resolution]):
+        frame, truth = video.frame_at(index)
+        observation = frontend.observe(frame, truth)
+        result = vo.process_frame(frame.index, frame.timestamp, observation)
+        if not result.is_tracking:
+            continue
+        if index % 6 == 0:
+            vo.apply_segmentation(frame.index, truth.masks)
+        if index % 4 == 1 or index == VO_FRAMES[resolution] - 1:
+            states.append((copy.deepcopy(vo), observation, result))
+    assert states, "the VO never tracked"
+    return states
+
+
+def live_matches(vo, result):
+    """The frame's matched point ids, with points culled since set to -1."""
+    ids = result.matched_point_ids
+    return np.where(np.isin(ids, vo.map.ids), ids, -1)
+
+
+class TestVOHelpers:
+    def test_states_cover_every_label_kind(self, vo_states):
+        labels = np.concatenate([vo.map.labels for vo, _, _ in vo_states])
+        assert (labels == 0).any() and (labels > 0).any()
+
+    def test_visible_points(self, vo_states):
+        for vo, _, _ in vo_states:
+            for pose in (vo.pose_cw, vo._velocity @ vo.pose_cw):
+                fast = vo._visible_points(pose)
+                reference = vo._visible_points_reference(pose)
+                for a, b in zip(fast, reference):
+                    assert np.array_equal(a, b)
+
+    def test_median_background_depth(self, vo_states):
+        for vo, _, _ in vo_states:
+            assert vo._median_background_depth() == vo._median_background_depth_reference()
+
+    def test_gate_matches(self, vo_states):
+        from repro.features.matcher import match_descriptors
+
+        for vo, observation, _ in vo_states:
+            ids, positions, _ = vo._visible_points(vo.pose_cw)
+            matches = match_descriptors(
+                observation.descriptors, vo.map.descriptors[vo.map.rows(ids)]
+            )
+            projected, _ = vo.camera.project_world(vo.pose_cw, positions)
+            for gate in (2.0, 40.0, 120.0):
+                fast = vo._gate_matches(observation.pixels, matches, projected, gate)
+                reference = vo._gate_matches_reference(
+                    observation.pixels, matches, projected, gate
+                )
+                assert np.array_equal(fast[0], reference[0])
+                assert np.array_equal(fast[1], reference[1])
+        empty = VisualOdometry._gate_matches(np.zeros((0, 2)), [], np.zeros((0, 2)), 1.0)
+        assert len(empty[0]) == len(empty[1]) == 0
+
+    def test_unlabeled_fraction_and_object_matches(self, vo_states):
+        for vo, _, result in vo_states:
+            matched = live_matches(vo, result)
+            assert vo._unlabeled_fraction(matched) == vo._unlabeled_fraction_reference(
+                matched
+            )
+            fast = vo._object_matches(matched)
+            reference = vo._object_matches_reference(matched)
+            assert [g[0] for g in fast] == [g[0] for g in reference]
+            for (_, features, rows), (_, ref_features, ref_rows) in zip(fast, reference):
+                assert np.array_equal(features, ref_features)
+                assert np.array_equal(rows, ref_rows)
+
+    def test_update_observations(self, vo_states):
+        import copy
+
+        rng = np.random.default_rng(0)
+        for vo, observation, result in vo_states:
+            matched = live_matches(vo, result)
+            features = np.flatnonzero(matched >= 0)
+            static = features[vo.map.labels[vo.map.rows(matched[features])] <= 0]
+            errors = rng.uniform(0.0, 6.0, len(static))
+            fast, reference = copy.deepcopy(vo), copy.deepcopy(vo)
+            frame_index = result.frame_index + 1
+            fast._update_observations(
+                frame_index, matched, matched[static], observation.pixels[static], errors
+            )
+            reference._update_observations_reference(
+                frame_index, matched, matched[static], observation.pixels[static], errors
+            )
+            assert_same_map(fast.map, reference.map)
+
+    def test_new_point_gates(self, vo_states):
+        rng = np.random.default_rng(1)
+        for vo, _, _ in vo_states:
+            partner = next(r for r in vo._recent if r.pose_cw is not None)
+            points = vo.map.positions[vo.map.labels <= 0]
+            pixels_now, _ = vo.camera.project_world(vo.pose_cw, points)
+            pixels_then, _ = vo.camera.project_world(partner.pose_cw, points)
+            pixels_now = pixels_now + rng.normal(scale=1.0, size=pixels_now.shape)
+            args = (points, pixels_now, partner.pose_cw, pixels_then, vo.scene_depth())
+            keep, parallax = vo._new_point_gates(*args)
+            ref_keep, ref_parallax = vo._new_point_gates_reference(*args)
+            assert np.array_equal(keep, ref_keep)
+            assert np.array_equal(bits(parallax), bits(ref_parallax))
+
+    def test_refined_structure(self, vo_states):
+        refined = 0
+        for vo, _, result in vo_states:
+            for frame_index in (result.frame_index, result.frame_index - 1):
+                fast = vo._refined_structure(frame_index)
+                reference = vo._refined_structure_reference(frame_index)
+                assert np.array_equal(fast[0], reference[0])
+                assert np.array_equal(bits(fast[1]), bits(reference[1]))
+                assert np.array_equal(bits(fast[2]), bits(reference[2]))
+                refined += len(fast[0])
+        # Every configuration re-triangulates some points, not only gates.
+        assert refined > 0
+
+
+def assert_same_map(a, b):
+    for column in (
+        "ids", "positions", "descriptors", "labels", "last_seen_frames", "parallax",
+        "first_pixels", "last_pixels",
+    ):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
+    for column in ("_observation_counts", "_outlier_counts", "_first_frames"):
+        assert np.array_equal(getattr(a, column)[: len(a)], getattr(b, column)[: len(b)])
+    for column in ("first_poses", "last_poses"):
+        for pose_a, pose_b in zip(getattr(a, column), getattr(b, column)):
+            assert (pose_a is None) == (pose_b is None)
+            if pose_a is not None:
+                assert np.array_equal(pose_a.rotation, pose_b.rotation)
+                assert np.array_equal(pose_a.translation, pose_b.translation)

@@ -121,9 +121,9 @@ class TestTransferGates:
     def test_too_few_object_points(self, camera):
         vo, _ = build_vo_with_object(camera)
         # Strip the object's points below the minimum.
-        for point in list(vo.map.points):
-            if point.label == 1 and point.point_id > 1:
-                vo.map._points.pop(point.point_id)
+        vo.map.remove(
+            [p.point_id for p in vo.map.points if p.label == 1 and p.point_id > 1]
+        )
         engine = MaskTransferEngine(
             camera, TransferConfig(min_object_features=5)
         )
@@ -148,3 +148,75 @@ class TestTransferGates:
         engine = MaskTransferEngine(camera)
         predictions = engine.predict(vo)
         assert predictions == []
+
+
+class TestTransferCaches:
+    """Per-keyframe work is done once: the resampled contour lives as long
+    as its keyframe keeps that mask, the back-projection as long as the
+    map version too."""
+
+    def test_contour_traced_once_per_keyframe_mask(self, camera, monkeypatch):
+        import repro.transfer.mask_transfer as mask_transfer
+
+        traced = []
+        original = mask_transfer.largest_contour
+        monkeypatch.setattr(
+            mask_transfer,
+            "largest_contour",
+            lambda mask: traced.append(1) or original(mask),
+        )
+        vo, _ = build_vo_with_object(camera)
+        engine = MaskTransferEngine(camera)
+        first = engine.predict(vo)
+        vo._pose_cw = SE3(np.eye(3), np.array([0.1, 0.0, 0.0]))
+        second = engine.predict(vo)
+        assert len(first) == len(second) == 1
+        assert len(traced) == 1
+        # A map change invalidates the depths, not the contour.
+        version = vo.map.version
+        vo.map.relabel(0, 1, "plate")
+        assert vo.map.version > version
+        engine.predict(vo)
+        assert len(traced) == 1
+
+    def test_replaced_masks_drop_the_cached_contour(self, camera):
+        vo, mask = build_vo_with_object(camera)
+        engine = MaskTransferEngine(camera)
+        before = engine.predict(vo)[0].mask.area
+        cached_mask, _ = engine._contours[(0, 1)]
+        # The edge returns a new segmentation of the same keyframe: the
+        # right half of the plate only.
+        half = mask.copy()
+        half[:, : camera.width // 2] = False
+        assert vo.apply_segmentation(0, [InstanceMask(1, "plate", half)])
+        after = engine.predict(vo)[0].mask.area
+        new_mask, _ = engine._contours[(0, 1)]
+        assert new_mask is not cached_mask
+        assert new_mask is vo.map.keyframe(0).mask_for(1)
+        assert engine._backprojections[(0, 1)][0] is new_mask
+        assert after < 0.75 * before
+
+    def test_culled_keyframe_drops_its_cache_entries(self, camera):
+        vo, mask = build_vo_with_object(camera)
+        engine = MaskTransferEngine(camera)
+        engine.predict(vo)
+        assert (0, 1) in engine._contours and (0, 1) in engine._backprojections
+        # A newer keyframe holds the instance's freshest mask, so culling
+        # far in the future drops keyframe 0.
+        record = KeyframeRecord(
+            frame_index=400,
+            timestamp=400 / 30.0,
+            pose_cw=SE3.identity(),
+            pixels=np.zeros((0, 2)),
+            point_ids=np.zeros(0, dtype=int),
+            masks=[InstanceMask(1, "plate", mask)],
+        )
+        record.object_poses_co[1] = SE3.identity()
+        vo.map.add_keyframe(record)
+        now = 400 + 2 * vo.map.cull_after_frames - 1
+        vo.map.touch(vo.map.ids, now)  # the points stay
+        vo.map.cull(current_frame=now)
+        assert vo.map.keyframe(0) is None
+        predictions = engine.predict(vo)
+        assert [p.source_frame_index for p in predictions] == [400]
+        assert set(engine._contours) == set(engine._backprojections) == {(400, 1)}

@@ -31,7 +31,13 @@ class TestPoints:
     def test_add_and_get(self):
         labeled_map = make_map()
         point = labeled_map.add_point([1, 2, 3], np.zeros(32, np.uint8))
-        assert labeled_map.get(point.point_id) is point
+        fetched = labeled_map.get(point.point_id)
+        # Points are rows of the map's arrays: get() returns a fresh view
+        # of the same row, not the same object.
+        assert fetched.point_id == point.point_id
+        assert np.array_equal(fetched.position, [1.0, 2.0, 3.0])
+        fetched.label = 4
+        assert point.label == 4
         assert point.point_id in labeled_map
         assert len(labeled_map) == 1
 
@@ -162,6 +168,28 @@ class TestKeyframes:
         # for instance 1).
         assert labeled_map.keyframe(1) is None
         assert labeled_map.keyframe(0) is not None
+
+    def test_keyframe_cull_rule(self):
+        # Culling keeps every keyframe from the last 2 * cull_after_frames
+        # frames and, beyond that, only each instance's newest masked
+        # keyframe; how old the surviving points are plays no part.
+        labeled_map = make_map(cull_after_frames=10)
+        add_points(labeled_map, 2, frame_index=0)
+        car = InstanceMask(1, "car", np.ones((4, 4), bool))
+        person = InstanceMask(2, "person", np.ones((4, 4), bool))
+        labeled_map.add_keyframe(self.make_record(5, masks=[car, person]))
+        labeled_map.add_keyframe(self.make_record(30, masks=[car]))
+        for index in (60, 79, 80, 95):
+            labeled_map.add_keyframe(self.make_record(index))
+        labeled_map.touch([0, 1], 100)
+        labeled_map.cull(current_frame=100)
+        assert len(labeled_map) == 2
+        # Cutoff 100 - 2 * 10 = 80: 60 and 79 go; 5 stays for the person,
+        # 30 for the car (5 is no longer the car's newest mask).
+        assert [k.frame_index for k in labeled_map.keyframes] == [5, 30, 80, 95]
+        labeled_map.add_keyframe(self.make_record(96, masks=[person]))
+        labeled_map.cull(current_frame=200)
+        assert [k.frame_index for k in labeled_map.keyframes] == [30, 96]
 
     def test_memory_estimate_grows(self):
         labeled_map = make_map()
