@@ -106,7 +106,6 @@ class ChaosInjector:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.log: list[dict] = []
         self._scheduler = None
-        self._sessions: list = []
         # Per-fault lifecycle flags, parallel to ``self.faults``.
         self._started = [False] * len(self.faults)
         self._ended = [False] * len(self.faults)
@@ -120,13 +119,12 @@ class ChaosInjector:
         faults stay pending until :meth:`tick` crosses them.
         """
         self._scheduler = scheduler
-        self._sessions = list(sessions)
         if tracer is not None:
             self.tracer = tracer
         for fault in self.faults:
             if fault.kind != "stall_channel":
                 continue
-            for index, session in enumerate(self._sessions):
+            for index, session in enumerate(sessions):
                 if fault.target not in (-1, index):
                     continue
                 session.channel.schedule_stall(fault.at_ms, fault.duration_ms)

@@ -163,7 +163,11 @@ class EdgeISSystem:
         compute += stage_ms
         cursor += stage_ms
         self._last_masks = masks
-        self._last_gray = frame.gray
+        if not self.config.use_mamt:
+            # Only the motion-vector fallback re-reads a frame's pixels
+            # when a result lands; MAMT needs none, so its frames stay
+            # unshaded unless an offload encodes them.
+            self._last_gray = frame.gray
 
         # Offload decision.
         offload = None
@@ -227,7 +231,7 @@ class EdgeISSystem:
                 outstanding=self._outstanding,
             )
         self.vo.apply_segmentation(frame_index, masks)
-        if not self.config.use_mamt and self._last_gray is not None:
+        if self._last_gray is not None:
             self._mv_tracker.reset(masks, self._last_gray)
         return self.config.timing.integrate_result_ms
 

@@ -267,19 +267,24 @@ _SOLO_SERVING = FleetSpec(num_clients=1, **FIFO_FLEET)
 
 @dataclass
 class ExperimentOutcome:
+    """A finished single-client run: its results and observability
+    state, never its session, so the scene's world, textures, client and
+    VO map die when the run returns."""
+
     spec: ExperimentSpec
     result: RunResult
     resources: ResourceMonitor | None = None
-    client: object | None = None
     tracer: Tracer | None = None
     sampler: TimelineSampler | None = None
 
 
 @dataclass
 class FleetOutcome:
+    """A finished run of any spec: its results and its serving and
+    observability state, never its sessions (see :class:`ExperimentOutcome`)."""
+
     spec: ExperimentSpec | FleetSpec
     results: list[RunResult]
-    sessions: list[ClientSession]
     scheduler: FleetScheduler
     tracer: Tracer | None = None
     sampler: TimelineSampler | None = None
@@ -427,7 +432,6 @@ def _assemble(spec: ExperimentSpec | FleetSpec) -> tuple[FleetOutcome, MultiClie
     outcome = FleetOutcome(
         spec=spec,
         results=[],
-        sessions=sessions,
         scheduler=scheduler,
         tracer=tracer if spec.trace else None,
         sampler=sampler,
@@ -442,7 +446,7 @@ def _assemble(spec: ExperimentSpec | FleetSpec) -> tuple[FleetOutcome, MultiClie
 def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
     """Run one device against one edge: the one-session FIFO fleet."""
     fleet, pipeline = _assemble(spec)
-    session = fleet.sessions[0]
+    session = pipeline.sessions[0]
     monitor = None
     if spec.monitor_resources:
         monitor = ResourceMonitor(DEVICE_POWER[spec.power_device], fps=session.video.fps)
@@ -453,7 +457,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
         spec=spec,
         result=result,
         resources=monitor,
-        client=session.client,
         sampler=fleet.sampler,
         tracer=fleet.tracer,
     )

@@ -7,7 +7,7 @@ smoothing, gradients and pyramids, all in numpy/scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 
 import numpy as np
 from scipy import ndimage
@@ -163,7 +163,6 @@ def _block_entropy_reference(gray: np.ndarray, block: int) -> np.ndarray:
     return out
 
 
-@dataclass
 class VideoFrame:
     """One frame of a 30 fps stream.
 
@@ -174,30 +173,59 @@ class VideoFrame:
     timestamp:
         Capture time in seconds (index / fps for synthetic streams).
     image:
-        (H, W, 3) uint8 RGB raster.
+        (H, W, 3) uint8 RGB raster.  A frame built by :meth:`deferred`
+        computes it on first read; ``shape``, ``height`` and ``width``
+        never need it.
     """
 
-    index: int
-    timestamp: float
-    image: np.ndarray
-    _gray: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.image = np.asarray(self.image)
-        if self.image.ndim != 3 or self.image.shape[2] != 3:
+    def __init__(self, index: int, timestamp: float, image: np.ndarray):
+        image = np.asarray(image)
+        if image.ndim != 3 or image.shape[2] != 3:
             raise ValueError("VideoFrame.image must be (H, W, 3)")
+        self.index = index
+        self.timestamp = timestamp
+        self._image: np.ndarray | None = image
+        self._make_image: Callable[[], np.ndarray] | None = None
+        self._shape = (int(image.shape[0]), int(image.shape[1]))
+        self._gray: np.ndarray | None = None
+
+    @classmethod
+    def deferred(
+        cls,
+        index: int,
+        timestamp: float,
+        shape: tuple[int, int],
+        make_image: Callable[[], np.ndarray],
+    ) -> "VideoFrame":
+        """A ``shape`` frame whose image ``make_image()`` computes the
+        first time anything reads ``image`` or ``gray``."""
+        frame = cls.__new__(cls)
+        frame.index = index
+        frame.timestamp = timestamp
+        frame._image = None
+        frame._make_image = make_image
+        frame._shape = (int(shape[0]), int(shape[1]))
+        frame._gray = None
+        return frame
+
+    @property
+    def image(self) -> np.ndarray:
+        if self._image is None:
+            self._image = self._make_image()
+            self._make_image = None
+        return self._image
 
     @property
     def height(self) -> int:
-        return int(self.image.shape[0])
+        return self._shape[0]
 
     @property
     def width(self) -> int:
-        return int(self.image.shape[1])
+        return self._shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.height, self.width)
+        return self._shape
 
     @property
     def gray(self) -> np.ndarray:

@@ -434,11 +434,13 @@ def _kernel_synthetic_raster(seed: int, repeats: int) -> dict:
             np.abs(np.where(a.depth == b.depth, 0.0, a.depth - b.depth)).max(),
         )
     )
+    # The fast side reads the image, so the shading pass it defers runs
+    # too: both sides do the same work.
     return _cell(
         "synthetic.raster",
         renderer.camera.width * renderer.camera.height,
         repeats,
-        lambda: renderer.render(pose_cw, time_s),
+        lambda: renderer.render(pose_cw, time_s).frame.image,
         lambda: renderer.render_reference(pose_cw, time_s),
         err,
         0.0,

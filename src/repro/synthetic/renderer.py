@@ -11,12 +11,19 @@ rest of the system consumes:
 Triangle rasterization uses perspective-correct barycentric interpolation
 and Sutherland-Hodgman clipping against the near plane, all vectorized per
 triangle with numpy.
+
+:meth:`Renderer.render` runs in two passes.  The visibility pass writes
+depth, labels and, per pixel, the frame-wide index of the triangle that
+won it.  The shading pass turns that into RGB, and runs only when
+something first reads the frame's pixels: the client's VO and mask
+transfer work on features and maps, so most frames are never shaded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,9 +35,11 @@ from .objects import SceneObject
 __all__ = ["RenderResult", "Renderer"]
 
 _NEAR_PLANE = 0.05
-# One float32 RGB pixel as a single 12-byte item: a masked write of these
-# moves one item per pixel instead of three strided floats.
-_RGB_ITEM = np.dtype((np.void, 12))
+# Sky/haze: the colour of a pixel no triangle covers.
+_BACKGROUND = 110
+# One uint8 RGB pixel as a single 3-byte item: a scatter of these moves
+# one item per pixel instead of three strided bytes.
+_RGB8_ITEM = np.dtype((np.void, 3))
 
 
 @dataclass
@@ -81,6 +90,15 @@ def _clip_polygon_near(
     return np.asarray(output_points), np.asarray(output_uvs)
 
 
+def _set_texture_time(textures, time: float) -> None:
+    """Give every time-varying texture (e.g. the chaos lighting shift)
+    the frame time; call before sampling any of the frame's texels."""
+    for texture in textures:
+        set_time = getattr(texture, "set_time", None)
+        if set_time is not None:
+            set_time(time)
+
+
 def _face_shades(triangles: np.ndarray) -> np.ndarray:
     """Lambert-ish shade per (3, 3) camera-frame triangle in ``triangles``.
 
@@ -99,6 +117,19 @@ def _face_shades(triangles: np.ndarray) -> np.ndarray:
     return 0.65 + 0.35 * np.abs(normals[:, 2]) / np.maximum(norms, 1e-12)
 
 
+@dataclass
+class _Visibility:
+    """What the shading pass needs of one frame's visibility pass."""
+
+    winner: np.ndarray  # (H, W) int32 frame-wide triangle index, -1 = none
+    # (17, T): each triangle's raster set-up (see Renderer._draw_object)
+    # and its face shade, one row per quantity.
+    params: np.ndarray
+    owner: np.ndarray  # (T,) int16 index into ``textures``
+    textures: list
+    time: float
+
+
 class Renderer:
     """Renders a list of :class:`SceneObject` through a pinhole camera.
 
@@ -108,10 +139,16 @@ class Renderer:
     size a raster call's fixed cost outweighs what trimming saves; above
     it the per-pixel cost of one call over the whole box roughly doubles,
     because its float64 temporaries no longer fit in cache.
+
+    The shading pass works through one object's pixels at a time,
+    ``shade_chunk`` of them per call, so its float64 temporaries stay
+    small: a render and its shading together peak lower than the eager
+    render with its float32 RGB buffer did.
     """
 
     strip_rows = 32
     strip_min_box_px = 32768
+    shade_chunk = 4096
 
     def __init__(self, camera: PinholeCamera, objects: list[SceneObject]):
         self.camera = camera
@@ -121,35 +158,54 @@ class Renderer:
         self._centers_y = (np.arange(camera.height) + 0.5)[:, None]
 
     def render(self, pose_cw: SE3, time: float, frame_index: int = 0) -> RenderResult:
-        return self._render(pose_cw, time, frame_index, self._draw_object)
+        """The visibility pass: depth, labels and each pixel's winning
+        triangle.  The frame's image is shaded from these on first read
+        (see :meth:`_shade`), bit-identical to :meth:`render_reference`."""
+        height, width = self.camera.height, self.camera.width
+        depth = np.full((height, width), np.inf, dtype=np.float32)
+        label_map = np.zeros((height, width), dtype=np.int32)
+        winner = np.full((height, width), -1, dtype=np.int32)
+        poses_co, object_poses = self._object_poses(pose_cw, time)
+        params, counts = [np.zeros((17, 0))], []
+        for scene_object, pose_co in zip(self.objects, poses_co):
+            part = self._draw_object(
+                scene_object, pose_co, sum(counts), depth, label_map, winner
+            )
+            params.append(part)
+            counts.append(part.shape[1])
+        visibility = _Visibility(
+            winner=winner,
+            params=np.concatenate(params, axis=1),
+            owner=np.repeat(np.arange(len(counts), dtype=np.int16), counts),
+            textures=[scene_object.texture for scene_object in self.objects],
+            time=time,
+        )
+        frame = VideoFrame.deferred(
+            frame_index, time, (height, width), partial(self._shade, visibility)
+        )
+        return RenderResult(
+            frame=frame,
+            label_map=label_map,
+            depth=depth,
+            pose_cw=pose_cw,
+            object_poses_wo=object_poses,
+            time=time,
+        )
 
     def render_reference(
         self, pose_cw: SE3, time: float, frame_index: int = 0
     ) -> RenderResult:
-        """Per-face, full-bounding-box form of :meth:`render` (equivalence
-        oracle): the same three rasters, bit for bit."""
-        return self._render(pose_cw, time, frame_index, self._draw_object_reference)
-
-    def _render(self, pose_cw: SE3, time: float, frame_index: int, draw_object) -> RenderResult:
+        """Per-face, full-bounding-box, eagerly shaded form of
+        :meth:`render` (equivalence oracle): the same three rasters, bit
+        for bit."""
         height, width = self.camera.height, self.camera.width
-        color = np.full((height, width, 3), 110.0, dtype=np.float32)  # sky/haze
+        color = np.full((height, width, 3), float(_BACKGROUND), dtype=np.float32)
         depth = np.full((height, width), np.inf, dtype=np.float32)
         label_map = np.zeros((height, width), dtype=np.int32)
-
-        object_poses: dict[int, SE3] = {}
-        for scene_object in self.objects:
-            # Time-varying textures (e.g. the chaos lighting shift) get
-            # the frame time before any of their texels are sampled.
-            set_time = getattr(scene_object.texture, "set_time", None)
-            if set_time is not None:
-                set_time(time)
-        for scene_object in self.objects:
-            pose_wo = scene_object.pose_wo(time)
-            if not scene_object.is_background:
-                object_poses[scene_object.instance_id] = pose_wo
-            pose_co = pose_cw @ pose_wo  # object -> camera
-            draw_object(scene_object, pose_co, color, depth, label_map)
-
+        _set_texture_time([scene_object.texture for scene_object in self.objects], time)
+        poses_co, object_poses = self._object_poses(pose_cw, time)
+        for scene_object, pose_co in zip(self.objects, poses_co):
+            self._draw_object_reference(scene_object, pose_co, color, depth, label_map)
         image = np.clip(color, 0.0, 255.0).astype(np.uint8)
         return RenderResult(
             frame=VideoFrame(index=frame_index, timestamp=time, image=image),
@@ -160,15 +216,29 @@ class Renderer:
             time=time,
         )
 
+    def _object_poses(self, pose_cw: SE3, time: float) -> tuple[list[SE3], dict[int, SE3]]:
+        """Each object's object -> camera pose at ``time``, and the world
+        pose of every foreground object by instance id."""
+        poses_co, object_poses = [], {}
+        for scene_object in self.objects:
+            pose_wo = scene_object.pose_wo(time)
+            if not scene_object.is_background:
+                object_poses[scene_object.instance_id] = pose_wo
+            poses_co.append(pose_cw @ pose_wo)
+        return poses_co, object_poses
+
     # ------------------------------------------------------------------
     def _draw_object(
         self,
         scene_object: SceneObject,
         pose_co: SE3,
-        color: np.ndarray,
+        first: int,
         depth: np.ndarray,
         label_map: np.ndarray,
-    ) -> None:
+        winner: np.ndarray,
+    ) -> np.ndarray:
+        """Rasterize one object's triangles, numbered from ``first`` in
+        ``winner``; returns their (17, n) shading parameters."""
         mesh = scene_object.mesh
         vertices_camera = pose_co.transform(mesh.vertices)
         triangles = vertices_camera[mesh.faces]
@@ -199,9 +269,11 @@ class Renderer:
         ax, ay = pixels[:, 0, 0], pixels[:, 0, 1]
         edges = pixels[:, 1:] - pixels[:, :1]  # (b - a, c - a)
         area = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-        setup = np.column_stack(
-            [ax, ay, edges.reshape(-1, 4), area, 1.0 / z, uvs[:, :, 0] / z, uvs[:, :, 1] / z]
+        params = np.vstack(
+            [ax, ay, edges.reshape(-1, 4).T, area, (1.0 / z).T, (uvs[:, :, 0] / z).T,
+             (uvs[:, :, 1] / z).T, shades]
         )
+        setup = params[:10].T.tolist()  # what the visibility pass reads
         box_width = boxes[:, 1] - boxes[:, 0]
         box_height = boxes[:, 3] - boxes[:, 2]
         visible = (box_width > 0) & (box_height > 0)
@@ -213,17 +285,17 @@ class Renderer:
                 strips = self._strips(box, pixels[index].tolist())
             else:
                 strips = (box,)
-            triangle_setup = setup[index].tolist()
             for strip in strips:
                 self._raster_triangle(
                     strip,
-                    triangle_setup,
-                    scene_object,
-                    shades[index],
-                    color,
+                    setup[index],
+                    first + index,
+                    scene_object.instance_id,
                     depth,
                     label_map,
+                    winner,
                 )
+        return params
 
     def _strips(self, box: list[int], corners: list[list[float]]) -> list[list[int]]:
         """Sub-boxes of ``box`` that together hold every pixel the triangle
@@ -289,24 +361,23 @@ class Renderer:
         self,
         box: list[int],
         setup: list[float],
-        scene_object: SceneObject,
-        shade: np.float64,
-        color: np.ndarray,
+        triangle: int,
+        instance_id: int,
         depth: np.ndarray,
         label_map: np.ndarray,
+        winner: np.ndarray,
     ) -> None:
-        """Rasterize one triangle from its set-up (see :meth:`_draw_object`).
+        """Depth-test one triangle from its set-up (see :meth:`_draw_object`)
+        and write depth, label and ``triangle`` where it wins.
 
         Every per-pixel value is the expression of
         :meth:`_raster_triangle_reference`, evaluated in the same order;
         what changes is the memory traffic.  The barycentrics broadcast a
         row of x against a column of y instead of two meshgrids, the
-        depth chain runs in place, the UV interpolation runs only on the
-        pixels that are drawn, and a drawn pixel's RGB is written as one
-        12-byte item instead of three floats.
+        depth chain runs in place, and colour is left to :meth:`_shade`.
         """
         x0, x1, y0, y1 = box
-        ax, ay, bax, bay, cax, cay, area, iz_a, iz_b, iz_c, ua, ub, uc, va, vb, vc = setup
+        ax, ay, bax, bay, cax, cay, area, iz_a, iz_b, iz_c = setup
         dx = self._centers_x[x0:x1] - ax  # grid_x - ax, one row
         dy = self._centers_y[y0:y1] - ay  # grid_y - ay, one column
         w_c = bax * dy - bay * dx
@@ -334,17 +405,98 @@ class Renderer:
         drawn &= pixel_z > _NEAR_PLANE
         if not drawn.any():
             return
-        w_a, w_b, w_c, pixel_z = w_a[drawn], w_b[drawn], w_c[drawn], pixel_z[drawn]
+        np.copyto(region_depth, pixel_z, where=drawn)
+        np.copyto(label_map[y0:y1, x0:x1], instance_id, where=drawn)
+        np.copyto(winner[y0:y1, x0:x1], triangle, where=drawn)
+
+    def _shade(self, visibility: _Visibility) -> np.ndarray:
+        """The shading pass: the (H, W, 3) uint8 image of a visibility pass.
+
+        A pixel's colour under :meth:`render_reference` is the texel of
+        the last triangle that passed its depth test, and that triangle
+        is the pixel's ``winner``.  Its barycentrics, depth and UV are
+        recomputed here from the same set-up with the same expressions
+        in the same order (``x + 0.5`` is ``_centers_x[x]``), so every
+        intermediate is bit-identical to the one the reference raster
+        samples with.  Textures get the frame's time first: rendering a
+        later frame may have moved a time-varying texture since.
+        """
+        height, width = visibility.winner.shape
+        image = np.full((height, width, 3), _BACKGROUND, dtype=np.uint8)
+        # Each pixel's RGB as one 3-byte item, so the scatter moves one
+        # item per pixel.
+        texels = image.view(_RGB8_ITEM).reshape(-1)
+        winner = visibility.winner.reshape(-1)
+        textures = visibility.textures
+        # Each pixel's object: the owner of its winning triangle.  An
+        # undrawn pixel's -1 takes the appended last entry, len(textures),
+        # which no object has.
+        owners = np.append(visibility.owner, np.int16(len(textures))).take(winner)
+        _set_texture_time(textures, visibility.time)
+        for index, texture in enumerate(textures):
+            pixels = np.flatnonzero(owners == index)
+            for low in range(0, len(pixels), self.shade_chunk):
+                chunk = pixels[low : low + self.shade_chunk]
+                rgb = self._shade_pixels(texture, chunk, winner.take(chunk), visibility.params)
+                texels.put(chunk, rgb.view(_RGB8_ITEM).reshape(-1))
+        return image
+
+    def _shade_pixels(
+        self, texture, pixels: np.ndarray, triangles: np.ndarray, params: np.ndarray
+    ) -> np.ndarray:
+        """The (n, 3) uint8 colour of ``pixels`` (flat indices), each won
+        by the triangle of ``triangles`` at the same position, all of them
+        faces of the object ``texture`` paints.
+
+        Each set-up quantity is gathered per pixel just before its one
+        use, so only a few chunk-sized temporaries live at once.
+        """
+        ax, ay, bax, bay, cax, cay, area, iz_a, iz_b, iz_c, ua, ub, uc, va, vb, vc, shade = (
+            params
+        )
+        rows = pixels // self.camera.width
+        cols = pixels - rows * self.camera.width
+        # ``x + 0.5`` is ``_centers_x[x]``, bit for bit.
+        dx = cols + 0.5
+        dx -= ax.take(triangles)  # grid_x - ax
+        dy = rows + 0.5
+        dy -= ay.take(triangles)  # grid_y - ay
+        area = area.take(triangles)
+        w_c = bax.take(triangles)
+        w_c *= dy
+        w_c -= bay.take(triangles) * dx
+        w_c /= area
+        w_b = cay.take(triangles)
+        w_b *= dx
+        w_b -= dy * cax.take(triangles)
+        w_b /= area
+        w_a = 1.0 - w_b
+        w_a -= w_c
+
+        pixel_z = iz_a.take(triangles)
+        pixel_z *= w_a
+        pixel_z += w_b * iz_b.take(triangles)
+        pixel_z += w_c * iz_c.take(triangles)
+        np.maximum(pixel_z, 1e-12, out=pixel_z)
+        np.divide(1.0, pixel_z, out=pixel_z)
 
         # Perspective-correct UV interpolation.
-        u_over_z = w_a * ua + w_b * ub + w_c * uc
-        v_over_z = w_a * va + w_b * vb + w_c * vc
-        texel = scene_object.texture.sample(u_over_z * pixel_z, v_over_z * pixel_z) * shade
-
-        region_depth[drawn] = pixel_z
-        texels = color.view(_RGB_ITEM)[y0:y1, x0:x1, 0]
-        texels[drawn] = texel.astype(np.float32).view(_RGB_ITEM)[:, 0]
-        label_map[y0:y1, x0:x1][drawn] = scene_object.instance_id
+        u = ua.take(triangles)
+        u *= w_a
+        u += w_b * ub.take(triangles)
+        u += w_c * uc.take(triangles)
+        u *= pixel_z
+        v = va.take(triangles)
+        v *= w_a
+        v += w_b * vb.take(triangles)
+        v += w_c * vc.take(triangles)
+        v *= pixel_z
+        # The float64 product the reference takes of a float32 texel.
+        texel = texture.sample(u, v).astype(np.float64)
+        texel *= shade.take(triangles)[:, None]
+        rgb = texel.astype(np.float32)
+        np.clip(rgb, 0.0, 255.0, out=rgb)
+        return rgb.astype(np.uint8)
 
     # ------------------------------------------------------------------
     def _draw_object_reference(

@@ -360,8 +360,11 @@ def render_both(renderer, pose_cw, time, index=0):
     )
 
 
+RESOLUTIONS = [(320, 240), (160, 120), (128, 96)]
+
+
 class TestRenderer:
-    @pytest.mark.parametrize("resolution", [(320, 240), (160, 120)])
+    @pytest.mark.parametrize("resolution", RESOLUTIONS)
     @pytest.mark.parametrize("dataset", DATASET_NAMES)
     def test_matches_reference(self, dataset, resolution):
         video = make_dataset(dataset, num_frames=300, resolution=resolution, seed=3)
@@ -433,7 +436,7 @@ class TestStripRaster:
     trimmed strips must hold every pixel the whole box would draw."""
 
     @pytest.mark.parametrize("rows", STRIP_ROWS)
-    @pytest.mark.parametrize("resolution", [(320, 240), (160, 120)])
+    @pytest.mark.parametrize("resolution", RESOLUTIONS)
     @pytest.mark.parametrize("dataset", DATASET_NAMES)
     def test_matches_reference(self, dataset, resolution, rows):
         video = make_dataset(dataset, num_frames=300, resolution=resolution, seed=3)
@@ -532,6 +535,104 @@ class TestStripRaster:
         assert all(
             (b[1] - b[0]) * (b[3] - b[2]) >= Renderer.strip_min_box_px for b in calls
         )
+
+
+def count_shading(monkeypatch) -> list:
+    """Record every shading pass (one entry per shaded frame)."""
+    shaded = []
+    shade = Renderer._shade
+
+    def spy(self, visibility):
+        shaded.append(visibility.time)
+        return shade(self, visibility)
+
+    monkeypatch.setattr(Renderer, "_shade", spy)
+    return shaded
+
+
+class TestShadeOnDemand:
+    """The visibility pass renders every frame; the shading pass runs
+    only when something reads the frame's pixels, and gives the image
+    the eager reference renders, whenever it runs."""
+
+    @pytest.mark.parametrize("rows", (None, *STRIP_ROWS))
+    def test_lighting_flip_shaded_after_a_later_frame(self, rows):
+        # Shading frame i after a frame past the flip was rendered and
+        # shaded: the texture must be set back to frame i's time.
+        spec = make_scenario("lighting-flip")
+        video = build_video(spec, 60, resolution=(160, 120), seed=2)
+        renderer = Renderer(video.camera, video.world.objects)
+        if rows is not None:
+            forced_strips(renderer, rows)
+        shift_index = int(spec.lighting_shift_at_s * video.fps)
+
+        def both(index):
+            time = index / video.fps
+            return render_both(renderer, video.trajectory.pose_cw(time), time, index)
+
+        early = [both(index) for index in (shift_index - 3, shift_index - 1)]
+        later, later_reference = both(shift_index + 5)
+        assert_same_render(later, later_reference)
+        assert video.world.objects[0].texture._time > spec.lighting_shift_at_s
+        for fast, reference in early:
+            assert_same_render(fast, reference)
+            assert fast.frame.image.mean() > later.frame.image.mean()
+
+    def test_shape_reads_do_not_shade(self, monkeypatch):
+        shaded = count_shading(monkeypatch)
+        video = make_dataset("xiph_like", num_frames=2, resolution=(160, 120))
+        frame, _ = video.frame_at(1)
+        assert (frame.shape, frame.height, frame.width) == ((120, 160), 120, 160)
+        assert shaded == []
+
+    def test_gray_twice_shades_once(self, monkeypatch):
+        shaded = count_shading(monkeypatch)
+        video = make_dataset("xiph_like", num_frames=2, resolution=(160, 120))
+        frame, _ = video.frame_at(1)
+        gray = frame.gray
+        assert frame.gray is gray
+        assert frame.image.shape == (120, 160, 3)
+        assert shaded == [1 / video.fps]
+        reference = video._renderer.render_reference(
+            video.trajectory.pose_cw(1 / video.fps), 1 / video.fps, frame_index=1
+        )
+        assert np.array_equal(frame.image, reference.frame.image)
+
+    @pytest.mark.parametrize(
+        "system,shades",
+        [
+            # MAMT reads no pixels: only the frames CFRS encodes are shaded.
+            ("edgeis", "offloads"),
+            ("baseline+mamt", "offloads"),
+            # Best-effort reads pixels only to encode what it sends.
+            ("edge_best_effort", "offloads"),
+            # The tracker baselines read every frame they process.
+            ("eaar", "processed"),
+            ("baseline", "processed"),
+        ],
+    )
+    def test_runs_shade_only_the_frames_they_read(self, monkeypatch, system, shades):
+        from repro.eval.experiments import ExperimentSpec, run_experiment
+
+        shaded = count_shading(monkeypatch)
+        renders = []
+        render = Renderer.render
+        monkeypatch.setattr(
+            Renderer,
+            "render",
+            lambda self, *args, **kwargs: renders.append(1) or render(self, *args, **kwargs),
+        )
+        outcome = run_experiment(
+            ExperimentSpec(system=system, num_frames=60, resolution=(128, 96), seed=1)
+        )
+        result = outcome.result
+        expected = {
+            "offloads": result.offload_count,
+            "processed": sum(frame.client_processed for frame in result.frames),
+        }[shades]
+        assert 0 < len(shaded) == expected
+        assert len(shaded) == len(set(shaded))  # no frame is shaded twice
+        assert len(shaded) < len(renders) == len(result.frames)
 
 
 class TestTextureSample:

@@ -606,22 +606,65 @@ class TestFleetExperiment:
             FleetSpec(**kwargs)
 
     def test_network_mix_assigns_links_in_session_order(self):
-        from repro.eval.experiments import FleetSpec, run_fleet
+        from repro.eval.experiments import FleetSpec, _assemble
 
-        outcome = run_fleet(
+        _, pipeline = _assemble(
             FleetSpec(num_clients=3, network="wifi_5ghz:2,lte:1", num_frames=3)
         )
-        assert [s.channel.profile.name for s in outcome.sessions] == [
+        assert [s.channel.profile.name for s in pipeline.sessions] == [
             "wifi_5ghz",
             "wifi_5ghz",
             "lte",
         ]
 
     def test_dynamic_reaches_every_scene(self):
-        from repro.eval.experiments import FleetSpec, run_fleet
+        from repro.eval.experiments import FleetSpec, _assemble
 
-        outcome = run_fleet(FleetSpec(num_clients=2, dynamic=True, num_frames=3))
-        assert all(",dyn" in s.video.name for s in outcome.sessions)
+        _, pipeline = _assemble(FleetSpec(num_clients=2, dynamic=True, num_frames=3))
+        assert all(",dyn" in s.video.name for s in pipeline.sessions)
+
+    @pytest.mark.parametrize(
+        "spec_type,kwargs",
+        [
+            ("ExperimentSpec", {"system": "edgeis"}),
+            ("ExperimentSpec", {"system": "eaar", "monitor_resources": True}),
+            (
+                "FleetSpec",
+                {"num_clients": 2, "tenants": "a:premium:1,b:best_effort:1", "autoscale": True},
+            ),
+            (
+                "FleetSpec",
+                {"num_clients": 2, "scenario": "lighting-flip", "faults": "uplink-stall"},
+            ),
+        ],
+    )
+    def test_finished_run_keeps_no_session(self, spec_type, kwargs, monkeypatch):
+        # An outcome keeps results, not the simulation: once the entry
+        # point returns, every session's world and client are garbage.
+        import gc
+        import weakref
+
+        from repro.eval import experiments
+
+        refs = []
+        assemble = experiments._assemble
+
+        def spy(spec):
+            outcome, pipeline = assemble(spec)
+            for session in pipeline.sessions:
+                refs.append(weakref.ref(session.video.world))
+                refs.append(weakref.ref(session.client))
+            return outcome, pipeline
+
+        monkeypatch.setattr(experiments, "_assemble", spy)
+        spec = getattr(experiments, spec_type)(num_frames=4, resolution=(96, 72), **kwargs)
+        if spec_type == "ExperimentSpec":
+            outcome = experiments.run_experiment(spec)
+        else:
+            outcome = experiments.run_fleet(spec)
+        gc.collect()
+        assert outcome.spec is spec
+        assert refs and [ref() for ref in refs] == [None] * len(refs)
 
     def test_fifo_fleet_is_the_fifo_scheduler(self):
         from repro.eval.experiments import FIFO_FLEET, FleetSpec, run_fleet
