@@ -38,6 +38,7 @@ from ..serve import AdmissionConfig, BatchConfig, DegradeConfig, FleetScheduler
 from ..serve import FIFO_DEADLINE_HORIZON, FIFO_POLICY, FIFO_QUEUE_LIMIT
 from ..tenancy import Autoscaler, AutoscalerConfig, TenantDirectory, parse_tenants
 from ..synthetic.datasets import make_complexity_scene, make_dataset
+from ..synthetic.renderer import VisibilityMemo
 from ..synthetic.world import SyntheticVideo
 
 __all__ = [
@@ -377,9 +378,14 @@ def _assemble(spec: ExperimentSpec | FleetSpec) -> tuple[FleetOutcome, MultiClie
     if scenario is not None:  # the scenario owns the network
         networks = [scenario.network] * serving.num_clients
     chaos = ChaosInjector(faults, tracer=tracer) if (faults or scenario) else None
+    # Sessions of one scene differ by seed only in textures, sites and
+    # noise: at each lockstep tick they see the same geometry from the
+    # same camera pose, so they share one visibility pass.
+    memo = VisibilityMemo()
     sessions = []
     for index, network in enumerate(networks):
         video = _session_video(spec, index, scenario)
+        video.renderer.memo = memo
         client = build_client(spec.system, video, seed=spec.seed + index, tracer=tracer)
         channel = make_channel(network, channel_rngs[index])
         if scenario is not None and apply_network(scenario, channel) and chaos is not None:

@@ -418,7 +418,7 @@ def _kernel_vo_oracle_observe(seed: int, repeats: int) -> dict:
 
 def _kernel_synthetic_raster(seed: int, repeats: int) -> dict:
     from ..synthetic.datasets import make_dataset
-    from ..synthetic.renderer import Renderer
+    from ..synthetic.renderer import Renderer, VisibilityMemo
 
     video = make_dataset("xiph_like", num_frames=60, resolution=(320, 240), seed=seed)
     renderer = Renderer(video.camera, video.world.objects)
@@ -434,13 +434,19 @@ def _kernel_synthetic_raster(seed: int, repeats: int) -> dict:
             np.abs(np.where(a.depth == b.depth, 0.0, a.depth - b.depth)).max(),
         )
     )
-    # The fast side reads the image, so the shading pass it defers runs
-    # too: both sides do the same work.
+
+    def fast():
+        # The fast side reads the image, so the shading pass it defers
+        # runs too; a fresh memo keeps a repeated view from skipping the
+        # visibility pass.  Both sides do the same work.
+        renderer.memo = VisibilityMemo()
+        return renderer.render(pose_cw, time_s).frame.image
+
     return _cell(
         "synthetic.raster",
         renderer.camera.width * renderer.camera.height,
         repeats,
-        lambda: renderer.render(pose_cw, time_s).frame.image,
+        fast,
         lambda: renderer.render_reference(pose_cw, time_s),
         err,
         0.0,

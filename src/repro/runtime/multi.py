@@ -158,6 +158,7 @@ class MultiClientPipeline:
 
         duration = num_frames * frame_interval
         busy_ms = self.scheduler.busy_ms_until(duration)
+        self.scheduler.release_payloads()
         return [
             RunResult(
                 system=session.client.name,

@@ -590,6 +590,16 @@ class FleetScheduler:
         self._g_degraded.set(len(self.degrade.degraded_sessions()))
         return outcomes
 
+    def release_payloads(self) -> None:
+        """End of run: no request still queued or awaiting hand-back will
+        reach a frame, so drop each one's ground-truth masks (full-size
+        rasters, possibly the renderer's shared ones).  The requests stay
+        where they are, so :meth:`stats` reads the same."""
+        items = [item for replica in self.pool.replicas for item in replica.queue]
+        items += [outcome.item for outcome in self._pending_outcomes]
+        for item in items:
+            item.truth_masks = []
+
     # ------------------------------------------------------------------
     def _drain_replica(self, replica: ServerReplica, now_ms: float) -> None:
         while replica.queue:

@@ -17,12 +17,20 @@ depth, labels and, per pixel, the frame-wide index of the triangle that
 won it.  The shading pass turns that into RGB, and runs only when
 something first reads the frame's pixels: the client's VO and mask
 transfer work on features and maps, so most frames are never shaded.
+
+The visibility pass reads only the camera, each object's instance id and
+mesh, and each object's object -> camera pose, so two renders that agree
+on all of these get the same pass.  A :class:`VisibilityMemo` keeps the
+last pass with that key, read-only, and every renderer handed the memo
+reuses it: the sessions of a fleet that see one scene along one camera
+path compute one pass per tick.  Shading stays per render, with the
+render's own textures and time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -32,7 +40,7 @@ from ..geometry.se3 import SE3
 from ..image.frame import VideoFrame
 from .objects import SceneObject
 
-__all__ = ["RenderResult", "Renderer"]
+__all__ = ["RenderResult", "Renderer", "VisibilityMemo"]
 
 _NEAR_PLANE = 0.05
 # Sky/haze: the colour of a pixel no triangle covers.
@@ -52,6 +60,9 @@ class RenderResult:
     pose_cw: SE3
     object_poses_wo: dict[int, SE3]
     time: float
+    # Visible instance masks by id, filled by visible_masks(); every
+    # render of one visibility pass shares the dict.
+    masks: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def instance_mask(self, instance_id: int) -> np.ndarray:
         return self.label_map == instance_id
@@ -61,6 +72,16 @@ class RenderResult:
         """Sorted ids of the instances with at least one pixel."""
         counts = np.bincount(self.label_map.ravel())
         return (np.flatnonzero(counts[1:]) + 1).tolist()
+
+    def visible_masks(self) -> dict[int, np.ndarray]:
+        """Each visible instance's read-only boolean mask, by id in id
+        order; built once per visibility pass, then shared."""
+        if not self.masks:
+            for instance_id in self.visible_instance_ids:
+                mask = self.label_map == instance_id
+                mask.flags.writeable = False
+                self.masks[instance_id] = mask
+        return self.masks
 
 
 def _clip_polygon_near(
@@ -118,6 +139,36 @@ def _face_shades(triangles: np.ndarray) -> np.ndarray:
 
 
 @dataclass
+class _VisibilityPass:
+    """One visibility pass, read-only: every render of the same view
+    shares it."""
+
+    depth: np.ndarray  # (H, W) float32, inf where nothing was drawn
+    label_map: np.ndarray  # (H, W) int32 instance ids, 0 = background
+    winner: np.ndarray  # (H, W) int32 frame-wide triangle index, -1 = none
+    params: np.ndarray  # (17, T) set-up and shade (see Renderer._draw_object)
+    owner: np.ndarray  # (T,) int16 index of each triangle's object
+    masks: dict[int, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for array in (self.depth, self.label_map, self.winner, self.params, self.owner):
+            array.flags.writeable = False
+
+
+class VisibilityMemo:
+    """The last visibility pass computed by the renderers that share this
+    memo, with its key: the camera, each object's instance id and mesh,
+    and the bytes of each object's object -> camera pose.  The key holds
+    everything the pass reads, so a render whose key equals it gets the
+    same depth, labels and winners bit for bit.  One entry is enough for
+    renders in lockstep, and the memo dies with its owner (a run)."""
+
+    def __init__(self) -> None:
+        self.key: tuple | None = None
+        self.visibility: _VisibilityPass | None = None
+
+
+@dataclass
 class _Visibility:
     """What the shading pass needs of one frame's visibility pass."""
 
@@ -144,6 +195,10 @@ class Renderer:
     ``shade_chunk`` of them per call, so its float64 temporaries stay
     small: a render and its shading together peak lower than the eager
     render with its float32 RGB buffer did.
+
+    A render keeps nothing of its own: its visibility pass stays in
+    ``memo`` (a private :class:`VisibilityMemo` unless a run hands every
+    renderer one to share) until a render needs a different view.
     """
 
     strip_rows = 32
@@ -156,16 +211,78 @@ class Renderer:
         # Pixel-center coordinates: a row of x and a column of y.
         self._centers_x = np.arange(camera.width) + 0.5
         self._centers_y = (np.arange(camera.height) + 0.5)[:, None]
+        self.memo = VisibilityMemo()
+        # What the visibility pass reads besides the poses, as bytes, so
+        # that key equality is content equality.
+        intrinsics = np.array([camera.fx, camera.fy, camera.cx, camera.cy], dtype=float)
+        self._scene_key = (
+            intrinsics.tobytes(),
+            camera.width,
+            camera.height,
+            tuple(
+                (
+                    scene_object.instance_id,
+                    *(
+                        (array.dtype.str, array.shape, array.tobytes())
+                        for array in (
+                            scene_object.mesh.vertices,
+                            scene_object.mesh.faces,
+                            scene_object.mesh.face_uvs,
+                        )
+                    ),
+                )
+                for scene_object in objects
+            ),
+        )
 
     def render(self, pose_cw: SE3, time: float, frame_index: int = 0) -> RenderResult:
-        """The visibility pass: depth, labels and each pixel's winning
-        triangle.  The frame's image is shaded from these on first read
-        (see :meth:`_shade`), bit-identical to :meth:`render_reference`."""
+        """Depth, labels and each pixel's winning triangle, from the memo
+        when it holds this view, else from a new visibility pass.  The
+        frame's image is shaded from these with this renderer's textures
+        on first read (see :meth:`_shade`), bit-identical to
+        :meth:`render_reference`."""
+        poses_co, object_poses = self._object_poses(pose_cw, time)
+        key = (
+            self._scene_key,
+            b"".join(p.rotation.tobytes() + p.translation.tobytes() for p in poses_co),
+        )
+        memo = self.memo
+        if memo.key != key:
+            # Let go of the old pass before drawing the new one, so the
+            # memo never holds two frames' rasters at once.
+            memo.key = memo.visibility = None
+            memo.visibility, memo.key = self._visibility_pass(poses_co), key
+        shared = memo.visibility
+        visibility = _Visibility(
+            winner=shared.winner,
+            params=shared.params,
+            owner=shared.owner,
+            textures=[scene_object.texture for scene_object in self.objects],
+            time=time,
+        )
+        frame = VideoFrame.deferred(
+            frame_index,
+            time,
+            (self.camera.height, self.camera.width),
+            partial(self._shade, visibility),
+        )
+        return RenderResult(
+            frame=frame,
+            label_map=shared.label_map,
+            depth=shared.depth,
+            pose_cw=pose_cw,
+            object_poses_wo=object_poses,
+            time=time,
+            masks=shared.masks,
+        )
+
+    def _visibility_pass(self, poses_co: list[SE3]) -> _VisibilityPass:
+        """Rasterize every object at its object -> camera pose: depth,
+        labels, each pixel's winning triangle and the shading set-up."""
         height, width = self.camera.height, self.camera.width
         depth = np.full((height, width), np.inf, dtype=np.float32)
         label_map = np.zeros((height, width), dtype=np.int32)
         winner = np.full((height, width), -1, dtype=np.int32)
-        poses_co, object_poses = self._object_poses(pose_cw, time)
         params, counts = [np.zeros((17, 0))], []
         for scene_object, pose_co in zip(self.objects, poses_co):
             part = self._draw_object(
@@ -173,23 +290,12 @@ class Renderer:
             )
             params.append(part)
             counts.append(part.shape[1])
-        visibility = _Visibility(
+        return _VisibilityPass(
+            depth=depth,
+            label_map=label_map,
             winner=winner,
             params=np.concatenate(params, axis=1),
             owner=np.repeat(np.arange(len(counts), dtype=np.int16), counts),
-            textures=[scene_object.texture for scene_object in self.objects],
-            time=time,
-        )
-        frame = VideoFrame.deferred(
-            frame_index, time, (height, width), partial(self._shade, visibility)
-        )
-        return RenderResult(
-            frame=frame,
-            label_map=label_map,
-            depth=depth,
-            pose_cw=pose_cw,
-            object_poses_wo=object_poses,
-            time=time,
         )
 
     def render_reference(

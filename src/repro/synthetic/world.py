@@ -142,13 +142,16 @@ class World:
         return positions
 
     def ground_truth_from_render(self, result: RenderResult) -> GroundTruth:
+        """Wrap a render as ground truth.  The rasters and masks are the
+        render's read-only arrays, shared with every render of the same
+        view, so nothing is copied."""
         masks = [
             InstanceMask(
                 instance_id=instance_id,
                 class_label=self.class_of(instance_id),
-                mask=result.instance_mask(instance_id),
+                mask=mask,
             )
-            for instance_id in result.visible_instance_ids
+            for instance_id, mask in result.visible_masks().items()
         ]
         return GroundTruth(
             label_map=result.label_map,
@@ -163,11 +166,17 @@ class SyntheticVideo:
     """A 30 fps video stream rendered from a world and a trajectory.
 
     Iterating yields ``(VideoFrame, GroundTruth)`` pairs.  Rendering is
-    lazy and keeps nothing: :meth:`frame_at` renders frame ``index`` on
+    lazy and keeps no frame: :meth:`frame_at` renders frame ``index`` on
     every call, a pure function of the index, so a repeated call returns
     equal arrays.  The frame loop renders each frame once and hands the
     pair to whatever needs it in that step (the client and the offload
     it sends), so a session holds only its live frame.
+
+    The renderer's memo (see :class:`~repro.synthetic.renderer.VisibilityMemo`)
+    holds the last visibility pass.  A run hands one memo to every
+    session's renderer, so sessions that see the same view at one tick
+    share its read-only depth, labels and masks; each frame still
+    shades with its own world's textures.
     """
 
     def __init__(
@@ -185,7 +194,7 @@ class SyntheticVideo:
         self.num_frames = num_frames
         self.fps = fps
         self.name = name
-        self._renderer = Renderer(camera, world.objects)
+        self.renderer = Renderer(camera, world.objects)
 
     def __len__(self) -> int:
         return self.num_frames
@@ -196,7 +205,7 @@ class SyntheticVideo:
             raise IndexError(f"frame index {index} out of range [0, {self.num_frames})")
         time = index / self.fps
         pose_cw = self.trajectory.pose_cw(time)
-        result = self._renderer.render(pose_cw, time, frame_index=index)
+        result = self.renderer.render(pose_cw, time, frame_index=index)
         return result.frame, self.world.ground_truth_from_render(result)
 
     def __iter__(self) -> Iterator[tuple]:

@@ -414,7 +414,7 @@ class TestRenderer:
     def test_visible_instance_ids_sorted_nonzero(self):
         video = make_dataset("kitti_like", num_frames=30, resolution=(160, 120))
         for index in (0, 29):
-            result = video._renderer.render(
+            result = video.renderer.render(
                 video.trajectory.pose_cw(index / video.fps), index / video.fps
             )
             expected = [int(i) for i in np.unique(result.label_map) if i != 0]
@@ -537,6 +537,103 @@ class TestStripRaster:
         )
 
 
+def count_visibility_passes(monkeypatch) -> list:
+    """Record every visibility pass a renderer computes (memo misses)."""
+    passes = []
+    compute = Renderer._visibility_pass
+
+    def spy(self, poses_co):
+        passes.append(self)
+        return compute(self, poses_co)
+
+    monkeypatch.setattr(Renderer, "_visibility_pass", spy)
+    return passes
+
+
+LIGHTING_FLIP = make_scenario("lighting-flip")
+MEMO_SCENES = (*DATASET_NAMES, "lighting-flip")
+
+
+def memo_scene(scene, seed, resolution=(160, 120)):
+    if scene == "lighting-flip":
+        return build_video(LIGHTING_FLIP, 60, resolution=resolution, seed=seed)
+    return make_dataset(scene, num_frames=60, resolution=resolution, seed=seed)
+
+
+def memo_pair(scene):
+    """Two videos of one scene whose seeds differ, sharing one memo."""
+    first, second = memo_scene(scene, 1), memo_scene(scene, 2)
+    second.renderer.memo = first.renderer.memo
+    return first, second
+
+
+def render_at(video, index):
+    time = index / video.fps
+    return video.renderer.render(video.trajectory.pose_cw(time), time, frame_index=index)
+
+
+def reference_at(video, index):
+    time = index / video.fps
+    return video.renderer.render_reference(
+        video.trajectory.pose_cw(time), time, frame_index=index
+    )
+
+
+class TestVisibilityMemo:
+    """Renders that share a memo share the visibility pass of a view
+    whose key they agree on, and stay exact either way."""
+
+    @pytest.mark.parametrize("scene", MEMO_SCENES)
+    def test_same_view_shares_the_pass(self, monkeypatch, scene):
+        passes = count_visibility_passes(monkeypatch)
+        first, second = memo_pair(scene)
+        flip = int(LIGHTING_FLIP.lighting_shift_at_s * first.fps)
+        indices = (flip - 1, flip + 1) if scene == "lighting-flip" else (0, 45)
+        for count, index in enumerate(indices, start=1):
+            a, b = render_at(first, index), render_at(second, index)
+            assert len(passes) == count  # the second render was a hit
+            assert b.depth is a.depth and b.label_map is a.label_map
+            assert b.visible_masks() is a.visible_masks()
+            # Each frame shades with its own seed's textures.
+            assert not np.array_equal(a.frame.image, b.frame.image)
+            assert_same_render(a, reference_at(first, index))
+            assert_same_render(b, reference_at(second, index))
+
+    def test_different_pose_mesh_or_resolution_misses(self, monkeypatch):
+        passes = count_visibility_passes(monkeypatch)
+        first, second = memo_pair("oilfield")
+        render_at(first, 10)
+        # Another frame: every object -> camera pose differs.
+        moved = render_at(second, 11)
+        assert len(passes) == 2
+        assert_same_render(moved, reference_at(second, 11))
+        # The same view at another resolution.
+        small = memo_scene("oilfield", 1, (128, 96))
+        small.renderer.memo = first.renderer.memo
+        result = render_at(small, 11)
+        assert len(passes) == 3
+        assert_same_render(result, reference_at(small, 11))
+        # The same camera and poses over a mesh moved by 1e-9.
+        changed = memo_scene("oilfield", 1)
+        mesh = changed.world.objects[-1].mesh
+        mesh.vertices = mesh.vertices + np.array([0.0, 0.0, 1e-9])
+        changed.renderer = Renderer(changed.camera, changed.world.objects)
+        changed.renderer.memo = first.renderer.memo
+        render_at(first, 12)
+        result = render_at(changed, 12)
+        assert len(passes) == 5
+        assert_same_render(result, reference_at(changed, 12))
+
+    def test_shared_rasters_are_read_only(self):
+        first, second = memo_pair("xiph_like")
+        _, truth = first.frame_at(20)
+        _, other = second.frame_at(20)
+        assert other.masks[0].mask is truth.masks[0].mask
+        for array in (truth.depth, truth.label_map, truth.masks[0].mask):
+            with pytest.raises(ValueError):
+                array[0, 0] = array[0, 0]
+
+
 def count_shading(monkeypatch) -> list:
     """Record every shading pass (one entry per shaded frame)."""
     shaded = []
@@ -593,7 +690,7 @@ class TestShadeOnDemand:
         assert frame.gray is gray
         assert frame.image.shape == (120, 160, 3)
         assert shaded == [1 / video.fps]
-        reference = video._renderer.render_reference(
+        reference = video.renderer.render_reference(
             video.trajectory.pose_cw(1 / video.fps), 1 / video.fps, frame_index=1
         )
         assert np.array_equal(frame.image, reference.frame.image)

@@ -640,14 +640,18 @@ class TestFleetExperiment:
     )
     def test_finished_run_keeps_no_session(self, spec_type, kwargs, monkeypatch):
         # An outcome keeps results, not the simulation: once the entry
-        # point returns, every session's world and client are garbage.
+        # point returns, every session's world and client are garbage,
+        # and so is every visibility pass the run's memo held.
         import gc
         import weakref
 
         from repro.eval import experiments
+        from repro.synthetic import Renderer, RenderResult
 
         refs = []
         assemble = experiments._assemble
+        compute = Renderer._visibility_pass
+        visible_masks = RenderResult.visible_masks
 
         def spy(spec):
             outcome, pipeline = assemble(spec)
@@ -656,7 +660,19 @@ class TestFleetExperiment:
                 refs.append(weakref.ref(session.client))
             return outcome, pipeline
 
+        def pass_spy(self, poses_co):
+            shared = compute(self, poses_co)
+            refs.extend(weakref.ref(a) for a in (shared.depth, shared.label_map, shared.winner))
+            return shared
+
+        def masks_spy(self):
+            masks = visible_masks(self)
+            refs.extend(weakref.ref(mask) for mask in masks.values())
+            return masks
+
         monkeypatch.setattr(experiments, "_assemble", spy)
+        monkeypatch.setattr(Renderer, "_visibility_pass", pass_spy)
+        monkeypatch.setattr(RenderResult, "visible_masks", masks_spy)
         spec = getattr(experiments, spec_type)(num_frames=4, resolution=(96, 72), **kwargs)
         if spec_type == "ExperimentSpec":
             outcome = experiments.run_experiment(spec)
@@ -665,6 +681,54 @@ class TestFleetExperiment:
         gc.collect()
         assert outcome.spec is spec
         assert refs and [ref() for ref in refs] == [None] * len(refs)
+
+    def test_lockstep_fleet_computes_one_pass_per_tick(self, monkeypatch):
+        # Sessions of one static scene see the same view at each tick:
+        # the first render of a tick computes the visibility pass, the
+        # rest reuse it.  A solo run never hits.
+        from repro.eval.experiments import ExperimentSpec, FleetSpec, run_experiment, run_fleet
+        from repro.synthetic import Renderer
+
+        counts = {"passes": 0, "renders": 0}
+        compute, render = Renderer._visibility_pass, Renderer.render
+
+        def pass_spy(self, poses_co):
+            counts["passes"] += 1
+            return compute(self, poses_co)
+
+        def render_spy(self, *args, **kwargs):
+            counts["renders"] += 1
+            return render(self, *args, **kwargs)
+
+        monkeypatch.setattr(Renderer, "_visibility_pass", pass_spy)
+        monkeypatch.setattr(Renderer, "render", render_spy)
+        run_fleet(FleetSpec(num_clients=3, num_frames=8, resolution=(96, 72), dataset="oilfield"))
+        assert counts == {"passes": 8, "renders": 24}
+        counts.update(passes=0, renders=0)
+        run_experiment(ExperimentSpec(system="eaar", num_frames=8, resolution=(96, 72)))
+        assert counts == {"passes": 8, "renders": 8}
+
+    def test_finished_run_releases_queued_masks(self, monkeypatch):
+        # Work still queued when the frame loop ends is never served: its
+        # ground-truth masks are dropped, and the queue count stays.
+        from repro.eval.experiments import FIFO_FLEET, FleetSpec, run_fleet
+        from repro.serve import FleetScheduler
+
+        queued = []
+        release = FleetScheduler.release_payloads
+
+        def spy(self):
+            queued.append(self.stats()["left_in_queue"])
+            assert any(item.truth_masks for r in self.pool.replicas for item in r.queue)
+            release(self)
+
+        monkeypatch.setattr(FleetScheduler, "release_payloads", spy)
+        outcome = run_fleet(
+            FleetSpec(**FIFO_FLEET, num_clients=4, num_frames=12, resolution=(96, 72))
+        )
+        items = [item for replica in outcome.scheduler.pool.replicas for item in replica.queue]
+        assert queued == [outcome.scheduler.stats()["left_in_queue"]] == [len(items)]
+        assert items and all(item.truth_masks == [] for item in items)
 
     def test_fifo_fleet_is_the_fifo_scheduler(self):
         from repro.eval.experiments import FIFO_FLEET, FleetSpec, run_fleet
