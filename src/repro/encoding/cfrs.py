@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from ..image.contours import mask_boundary
+from ..image.morphology import binary_dilation, label
 from ..image.masks import InstanceMask
 from ..obs.trace import NULL_TRACER, Tracer
 from .tiles import EncodedFrame, TileGrid, TileQuality, encode_frame
@@ -140,8 +140,8 @@ class ContentRoiSelector:
             occupancy[r, c] = True
         # Bridge one-tile gaps, then group; components that trace back to
         # a single occupied tile are treated as detector noise.
-        dilated = ndimage.binary_dilation(occupancy, iterations=1)
-        labeled, count = ndimage.label(dilated)
+        dilated = binary_dilation(occupancy)
+        labeled, count = label(dilated)
         boxes = []
         for component in range(1, count + 1):
             member = labeled == component
@@ -179,7 +179,7 @@ class ContentRoiSelector:
             )
             contour = self.grid.coverage_mask_from_rastermask(mask_boundary(mask.mask))
             if self.config.contour_dilation_tiles:
-                contour = ndimage.binary_dilation(
+                contour = binary_dilation(
                     contour, iterations=self.config.contour_dilation_tiles
                 )
             qualities[contour] = int(TileQuality.HIGH)

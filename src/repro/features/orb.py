@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ..image.contours import mask_boundary
 from ..image.frame import gaussian_blur
+from ..image.morphology import binary_dilation
 from .brief import BriefDescriptorExtractor
 from .fast import Keypoint, fast_corners, grid_select
 
@@ -141,6 +141,8 @@ class OrbFeatureExtractor:
 
 def local_sharpness(gray: np.ndarray, window: int = 7) -> np.ndarray:
     """Laplacian-energy sharpness map; low values mean blurred texture."""
+    from scipy import ndimage
+
     gray = np.asarray(gray, dtype=np.float32)
     laplacian = ndimage.laplace(gaussian_blur(gray, 0.8))
     return ndimage.uniform_filter(np.abs(laplacian), size=window)
@@ -177,9 +179,7 @@ def select_features(
         if inside.any():
             boundary = mask_boundary(mask)
             if contour_band > 1:
-                boundary = ndimage.binary_dilation(
-                    boundary, iterations=contour_band - 1
-                )
+                boundary = binary_dilation(boundary, iterations=contour_band - 1)
             near_contour |= inside & boundary[rows, cols]
 
     sharp_enough = sharpness[rows, cols] >= blur_threshold

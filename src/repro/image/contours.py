@@ -15,7 +15,8 @@ pixels and re-rasterizes.  This module provides both halves from scratch:
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
+
+from .morphology import binary_erosion, label
 
 __all__ = [
     "find_contours",
@@ -78,7 +79,7 @@ def find_contours(mask: np.ndarray, min_length: int = 1) -> list[np.ndarray]:
     if mask.ndim != 2:
         raise ValueError("find_contours expects a 2-D mask")
     # 8-connectivity, matching OpenCV's findContours component notion.
-    labeled, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    labeled, count = label(mask, connectivity=8)
     contours = []
     for component in range(1, count + 1):
         component_mask = labeled == component
@@ -221,10 +222,7 @@ def mask_boundary(mask: np.ndarray) -> np.ndarray:
     4-neighbour), the 'pixels on the contour' the paper treats as the most
     representative features of an object's shape."""
     mask = np.asarray(mask, dtype=bool)
-    eroded = ndimage.binary_erosion(mask, structure=np.array(
-        [[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool
-    ), border_value=0)
-    return mask & ~eroded
+    return mask & ~binary_erosion(mask)
 
 
 def resample_contour(contour: np.ndarray, num_points: int) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 This module stands in for the slice of OpenCV the paper's client uses for
 "feeding video frames at fixed 30 fps" — grayscale conversion, Gaussian
-smoothing, gradients and pyramids, all in numpy/scipy.
+smoothing, gradients and pyramids, in numpy.  The filters of the real
+FAST+BRIEF frontend (blur, Sobel) import ``scipy.ndimage`` when called,
+so the simulated path, which never calls them, loads no scipy.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "VideoFrame",
@@ -35,11 +36,15 @@ def to_grayscale(image: np.ndarray) -> np.ndarray:
 
 
 def gaussian_blur(image: np.ndarray, sigma: float = 1.0) -> np.ndarray:
+    from scipy import ndimage
+
     return ndimage.gaussian_filter(np.asarray(image, dtype=np.float32), sigma=sigma)
 
 
 def sobel_gradients(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(gx, gy) Sobel gradients of a grayscale image."""
+    from scipy import ndimage
+
     gray = np.asarray(gray, dtype=np.float32)
     gx = ndimage.sobel(gray, axis=1)
     gy = ndimage.sobel(gray, axis=0)

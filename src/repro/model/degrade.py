@@ -11,13 +11,11 @@ modes of real mask heads: localization offset and boundary sloppiness.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from ..image.masks import mask_iou
+from ..image.morphology import binary_dilation, binary_erosion
 
 __all__ = ["degrade_mask_to_iou", "sample_target_iou"]
-
-_STRUCTURE = ndimage.generate_binary_structure(2, 1)
 
 
 def sample_target_iou(mean: float, std: float, rng: np.random.Generator) -> float:
@@ -60,10 +58,8 @@ def degrade_mask_to_iou(
             dx = int(round(np.cos(direction) * magnitude))
             candidate = _shift_mask(mask, dy, dx)
         else:
-            operator = ndimage.binary_dilation if grow else ndimage.binary_erosion
-            candidate = operator(
-                degraded, structure=_STRUCTURE, iterations=1, border_value=0
-            )
+            operator = binary_dilation if grow else binary_erosion
+            candidate = operator(degraded)
             if not candidate.any():
                 candidate = degraded  # erosion ate everything; keep
         if mask_iou(mask, candidate) <= target_iou:

@@ -150,6 +150,10 @@ class SimulatedSegmentationModel:
             use_roi_pruning,
         )
 
+    def release_caches(self) -> None:
+        """Drop the anchor grids built so far (rebuilt on the next call)."""
+        self._anchor_cache.clear()
+
     # ------------------------------------------------------------------
     def _anchor_grid(self, image_shape: tuple[int, int]) -> AnchorGrid:
         key = (int(image_shape[0]), int(image_shape[1]))

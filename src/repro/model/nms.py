@@ -11,6 +11,9 @@ import numpy as np
 
 __all__ = ["box_iou_matrix", "nms", "fast_nms"]
 
+# Rows of the IoU matrix fast_nms builds at a time.
+FAST_NMS_BLOCK_ROWS = 64
+
 
 def box_iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two box sets, shape (len(a), len(b))."""
@@ -52,7 +55,31 @@ def fast_nms(
     boxes: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.5
 ) -> np.ndarray:
     """YOLACT's Fast NMS: suppress any box overlapped by a higher-scoring
-    one, computed in one shot from the upper-triangular IoU matrix."""
+    one, read off the upper-triangular IoU matrix of the score-sorted
+    boxes.
+
+    The matrix is built :data:`FAST_NMS_BLOCK_ROWS` rows at a time and
+    each block's column maxima are folded into ``max_overlap``, so the
+    temporaries stay ``block x N`` instead of ``N x N``; ``max`` does not
+    round, so the kept set equals the whole-matrix one
+    (:func:`_fast_nms_reference`)."""
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    scores = np.asarray(scores, dtype=float)
+    order = np.argsort(-scores)
+    sorted_boxes = boxes[order]
+    max_overlap = np.zeros(len(boxes))
+    for start in range(0, len(boxes), FAST_NMS_BLOCK_ROWS):
+        block = box_iou_matrix(sorted_boxes[start : start + FAST_NMS_BLOCK_ROWS], sorted_boxes)
+        # Row start + i keeps only the columns after it: j - i >= start + 1.
+        np.maximum(max_overlap, np.triu(block, k=start + 1).max(axis=0), out=max_overlap)
+    return order[max_overlap <= iou_threshold]
+
+
+def _fast_nms_reference(
+    boxes: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.5
+) -> np.ndarray:
+    """Whole-matrix Fast NMS — reference for :func:`fast_nms`
+    (equivalence tests; ``model.fast_nms`` micro cell)."""
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     scores = np.asarray(scores, dtype=float)
     if len(boxes) == 0:

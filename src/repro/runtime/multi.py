@@ -150,6 +150,10 @@ class MultiClientPipeline:
                 self._step_session(
                     session, session_index, frame_index, now, frame_interval
                 )
+            # Every session has seen this tick's view: drop the shared
+            # visibility pass rather than hold it until the next render.
+            for session in self.sessions:
+                session.video.renderer.memo.clear()
             self.pm.pending.set(
                 sum(len(session.pending) for session in self.sessions)
             )

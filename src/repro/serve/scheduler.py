@@ -593,12 +593,15 @@ class FleetScheduler:
     def release_payloads(self) -> None:
         """End of run: no request still queued or awaiting hand-back will
         reach a frame, so drop each one's ground-truth masks (full-size
-        rasters, possibly the renderer's shared ones).  The requests stay
+        rasters, possibly the renderer's shared ones), and no replica will
+        infer again, so drop each model's anchor grids.  The requests stay
         where they are, so :meth:`stats` reads the same."""
         items = [item for replica in self.pool.replicas for item in replica.queue]
         items += [outcome.item for outcome in self._pending_outcomes]
         for item in items:
             item.truth_masks = []
+        for replica in self.pool.replicas:
+            replica.server.model.release_caches()
 
     # ------------------------------------------------------------------
     def _drain_replica(self, replica: ServerReplica, now_ms: float) -> None:

@@ -161,11 +161,16 @@ class VisibilityMemo:
     and the bytes of each object's object -> camera pose.  The key holds
     everything the pass reads, so a render whose key equals it gets the
     same depth, labels and winners bit for bit.  One entry is enough for
-    renders in lockstep, and the memo dies with its owner (a run)."""
+    renders in lockstep; the frame loop clears it after each tick, and
+    the memo dies with its owner (a run)."""
 
     def __init__(self) -> None:
         self.key: tuple | None = None
         self.visibility: _VisibilityPass | None = None
+
+    def clear(self) -> None:
+        """Forget the pass (the next render computes its own)."""
+        self.key = self.visibility = None
 
 
 @dataclass
@@ -250,7 +255,7 @@ class Renderer:
         if memo.key != key:
             # Let go of the old pass before drawing the new one, so the
             # memo never holds two frames' rasters at once.
-            memo.key = memo.visibility = None
+            memo.clear()
             memo.visibility, memo.key = self._visibility_pass(poses_co), key
         shared = memo.visibility
         visibility = _Visibility(

@@ -173,10 +173,11 @@ class SyntheticVideo:
     it sends), so a session holds only its live frame.
 
     The renderer's memo (see :class:`~repro.synthetic.renderer.VisibilityMemo`)
-    holds the last visibility pass.  A run hands one memo to every
-    session's renderer, so sessions that see the same view at one tick
-    share its read-only depth, labels and masks; each frame still
-    shades with its own world's textures.
+    holds the current tick's visibility pass.  A run hands one memo to
+    every session's renderer, so sessions that see the same view at one
+    tick share its read-only depth, labels and masks; each frame still
+    shades with its own world's textures.  The frame loop clears the
+    memo once the tick's last session has stepped.
     """
 
     def __init__(

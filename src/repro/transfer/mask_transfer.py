@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..geometry.camera import PinholeCamera
 from ..image.contours import fill_contour, largest_contour, resample_contour
@@ -45,22 +44,29 @@ def contour_depths(
     feature_pixels: np.ndarray,
     depths: np.ndarray,
     k: int,
-    tree: cKDTree | None = None,
 ) -> np.ndarray:
     """Mean depth of the k nearest labeled features per contour pixel.
 
-    The paper's small-neighbourhood depth-smoothness estimate, vectorized
-    as one batched cKDTree query.  Pass a prebuilt ``tree`` over
-    ``feature_pixels`` to amortize construction across contours of the
-    same source keyframe.
+    The paper's small-neighbourhood depth-smoothness estimate as an exact
+    brute-force k-NN: squared distances to every feature, then the k
+    smallest in (distance, index) order, taken one ``argmin`` at a time
+    (``argmin`` returns the first of equal minima), and their depths
+    averaged in that order.  One object has a few dozen labelled features
+    (at most the frontend's 400), so the distance matrix stays small.
     """
     k = min(k, len(feature_pixels))
-    if tree is None:
-        tree = cKDTree(feature_pixels)
-    _, neighbor_indices = tree.query(contour_uv, k=k)
-    if k == 1:
-        neighbor_indices = neighbor_indices[:, None]
-    return depths[neighbor_indices].mean(axis=1)
+    squared = np.subtract.outer(contour_uv[:, 0], feature_pixels[:, 0])
+    squared *= squared
+    dv = np.subtract.outer(contour_uv[:, 1], feature_pixels[:, 1])
+    dv *= dv
+    squared += dv
+    rows = np.arange(len(contour_uv))
+    nearest = np.empty((len(contour_uv), k), dtype=np.intp)
+    for rank in range(k):
+        column = squared.argmin(axis=1)
+        nearest[:, rank] = column
+        squared[rows, column] = np.inf
+    return depths[nearest].mean(axis=1)
 
 
 def _contour_depths_reference(

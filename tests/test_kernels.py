@@ -6,8 +6,8 @@ These are the correctness contract behind the ``micro`` bench suite
 *equivalence* — over random seeds, degenerate shapes, and the branch
 points of each kernel (empty inputs, dense-vs-sparse paths, clamps).
 Most pairs are bit-identical; the k-NN depth lookup is atol-bounded
-because ``cKDTree`` and the argsort reference may order exact distance
-ties differently.  The client frame path (renderer, texture sampling,
+because the argmin k-NN and the argsort reference may order exact
+distance ties differently.  The client frame path (renderer, texture sampling,
 oracle features, Hamming matching) is compared with ``array_equal``:
 its outputs feed every simulated outcome, so they must not move a bit.
 """
@@ -309,8 +309,8 @@ class TestContourDepths:
         depths = rng.uniform(2.0, 8.0, 80)
         vec = contour_depths(contour_uv, feature_pixels, depths, k)
         ref = _contour_depths_reference(contour_uv, feature_pixels, depths, k)
-        # Not bit-identical by design: cKDTree and the argsort reference
-        # may break exact distance ties differently (measure zero here).
+        # Not bit-identical by design: the argsort reference may break
+        # exact distance ties differently (measure zero here).
         assert np.allclose(vec, ref, rtol=0.0, atol=1e-9)
 
     def test_k_clamped_to_feature_count(self):
@@ -325,26 +325,12 @@ class TestContourDepths:
         assert np.allclose(vec, ref)
 
     def test_single_neighbor_branch(self):
-        # k=1: cKDTree returns a 1-D index array; the reshape branch must
-        # keep the per-pixel mean well-formed.
+        # k=1: each per-pixel mean is the one nearest feature's depth.
         contour_uv = np.array([[0.0, 0.0], [10.0, 10.0]])
         feature_pixels = np.array([[0.1, 0.0], [10.0, 10.1]])
         depths = np.array([4.0, 6.0])
         vec = contour_depths(contour_uv, feature_pixels, depths, 1)
         assert np.allclose(vec, [4.0, 6.0])
-
-    def test_prebuilt_tree_equivalent(self):
-        from scipy.spatial import cKDTree
-
-        rng = np.random.default_rng(8)
-        contour_uv = rng.uniform((0.0, 0.0), (640.0, 480.0), (30, 2))
-        feature_pixels = rng.uniform((0.0, 0.0), (640.0, 480.0), (60, 2))
-        depths = rng.uniform(2.0, 8.0, 60)
-        tree = cKDTree(feature_pixels)
-        assert np.array_equal(
-            contour_depths(contour_uv, feature_pixels, depths, 5, tree=tree),
-            contour_depths(contour_uv, feature_pixels, depths, 5),
-        )
 
 
 def assert_same_render(a, b):

@@ -730,6 +730,37 @@ class TestFleetExperiment:
         assert queued == [outcome.scheduler.stats()["left_in_queue"]] == [len(items)]
         assert items and all(item.truth_masks == [] for item in items)
 
+    def test_tick_ends_with_an_empty_memo(self, monkeypatch):
+        # Every render of a tick finds the memo holding nothing from an
+        # earlier tick: the pass is dropped once the last session stepped.
+        from repro.eval.experiments import ExperimentSpec, FleetSpec, run_experiment, run_fleet
+        from repro.synthetic import Renderer
+
+        seen = []
+        render = Renderer.render
+
+        def spy(self, pose_cw, time, frame_index=0):
+            seen.append((frame_index, self.memo.key is None))
+            return render(self, pose_cw, time, frame_index=frame_index)
+
+        monkeypatch.setattr(Renderer, "render", spy)
+        run_fleet(FleetSpec(num_clients=3, num_frames=6, resolution=(96, 72), dataset="oilfield"))
+        # The first session of each tick meets an empty memo, the rest
+        # share the pass it computed.
+        assert seen == [(index, session == 0) for index in range(6) for session in range(3)]
+        seen.clear()
+        outcome = run_experiment(ExperimentSpec(system="eaar", num_frames=6, resolution=(96, 72)))
+        assert seen == [(index, True) for index in range(6)]
+        assert outcome.result.frames
+
+    def test_finished_run_releases_anchor_grids(self):
+        from repro.eval.experiments import FleetSpec, run_fleet
+
+        outcome = run_fleet(FleetSpec(num_clients=2, num_frames=12, resolution=(96, 72)))
+        models = [replica.server.model for replica in outcome.scheduler.pool.replicas]
+        assert outcome.scheduler.stats()["completed"] > 0
+        assert all(model._anchor_cache == {} for model in models)
+
     def test_fifo_fleet_is_the_fifo_scheduler(self):
         from repro.eval.experiments import FIFO_FLEET, FleetSpec, run_fleet
         from repro.serve import fifo_scheduler
